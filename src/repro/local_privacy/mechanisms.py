@@ -195,13 +195,13 @@ class _SamplingMechanism(LocalMechanism):
         Parameters
         ----------
         records:
-            Validated list of records.
+            ``(n, d)`` record matrix already validated by
+            :meth:`_check_records`.
         rng:
             A ready :class:`numpy.random.Generator`.
         """
-        matrix = self._check_matrix(records)
-        u = rng.uniform(size=(matrix.shape[0], self._draw_width))
-        return self._kernel(matrix, u)
+        u = rng.uniform(size=(records.shape[0], self._draw_width))
+        return self._kernel(records, u)
 
     def _check_records(self, records):
         """Materialize the batch as a validated matrix (overrides base).
@@ -287,7 +287,10 @@ class L2SamplingMechanism(_SamplingMechanism):
             ``(n, d+2)`` uniform draws, one row per record.
         """
         d = self.dimension
-        gauss = ndtri(u[:, :d])
+        # uniform() can return exactly 0.0, and ndtri(0) = -inf would
+        # turn the direction into inf/inf = NaN; clamp to the smallest
+        # normal double, which leaves every other draw unchanged.
+        gauss = ndtri(np.maximum(u[:, :d], np.finfo(float).tiny))
         gauss_norms = np.sqrt((gauss * gauss).sum(axis=1))
         # A zero normal vector has probability zero; fall back to e₁.
         degenerate = gauss_norms == 0.0

@@ -68,20 +68,9 @@ def _traced_release(release):
         tracer = _trace.current()
         if tracer is None:
             return release(self, *args, **kwargs)
-        mechanism = type(self).__name__
-        with tracer.span(f"release:{mechanism}", mechanism=mechanism):
-            result = release(self, *args, **kwargs)
-        spec = self.privacy
-        tracer.record(
-            MechanismReleaseEvent(
-                label=mechanism,
-                epsilon=spec.epsilon,
-                delta=spec.delta,
-                mechanism=mechanism,
-            )
+        return self._run_traced(
+            tracer, "release", lambda: release(self, *args, **kwargs)
         )
-        tracer.count("mechanism.releases")
-        return result
 
     traced._dp_traced = True
     return traced
@@ -178,23 +167,12 @@ class Mechanism(abc.ABC):
         tracer = _trace.current()
         if tracer is None:
             return self._release_many(dataset, n, rng)
-        mechanism = type(self).__name__
-        with tracer.span(
-            f"release_many:{mechanism}", mechanism=mechanism, count=n
-        ):
-            outputs = self._release_many(dataset, n, rng)
-        spec = self.privacy
-        tracer.record(
-            MechanismReleaseEvent(
-                label=mechanism,
-                epsilon=spec.epsilon,
-                delta=spec.delta,
-                mechanism=mechanism,
-                count=n,
-            )
+        return self._run_traced(
+            tracer,
+            "release_many",
+            lambda: self._release_many(dataset, n, rng),
+            count=n,
         )
-        tracer.count("mechanism.releases", n)
-        return outputs
 
     def _release_many(self, dataset, n, rng):
         """Batch kernel: ``n`` draws from one shared generator.
@@ -205,17 +183,10 @@ class Mechanism(abc.ABC):
         single aggregated event. Override with a numpy kernel that
         consumes the RNG stream exactly as the loop would.
 
-        Because the loop produces real releases one at a time, a draw
-        that raises mid-batch leaves the earlier draws *done* — noise
-        consumed, mechanism state mutated — while the aggregated event in
-        :meth:`release_many` is never reached. Serial traced ``release``
-        calls would each have recorded an event, so the looped fallback
-        under an active trace used to under-report ``count`` in
-        :func:`~repro.observability.events.ledger_totals` whenever a
-        batch failed part-way. The fallback therefore emits the same
-        aggregated event itself for the draws that completed before
-        re-raising: the ledger never under-counts a release that
-        actually happened.
+        A draw that raises mid-batch leaves the earlier draws *done*
+        while the aggregated event in :meth:`release_many` is never
+        reached, so :meth:`_collect_releases` records the completed
+        draws before re-raising.
 
         Parameters
         ----------
@@ -228,25 +199,60 @@ class Mechanism(abc.ABC):
         """
         release = type(self).release
         release = getattr(release, "__wrapped__", release)
+        return self._collect_releases(
+            release(self, dataset, random_state=rng) for _ in range(n)
+        )
+
+    def _record_releases(self, tracer, count=1) -> None:
+        """Record ``count`` releases of this mechanism on ``tracer``.
+
+        The one ledger-emission path: every traced release, batch and
+        partial batch appends a single
+        :class:`~repro.observability.events.MechanismReleaseEvent`
+        carrying the :class:`PrivacySpec` and bumps the
+        ``mechanism.releases`` counter by ``count``.
+        """
+        spec = self.privacy
+        mechanism = type(self).__name__
+        tracer.record(
+            MechanismReleaseEvent(
+                label=mechanism,
+                epsilon=spec.epsilon,
+                delta=spec.delta,
+                mechanism=mechanism,
+                count=count,
+            )
+        )
+        tracer.count("mechanism.releases", count)
+
+    def _run_traced(self, tracer, operation, call, count=None):
+        """Time ``call()`` in an ``<operation>:<Mechanism>`` span on
+        ``tracer``, then record its releases (``count``, or one release
+        when ``count`` is ``None``)."""
+        mechanism = type(self).__name__
+        attributes = {"mechanism": mechanism}
+        if count is not None:
+            attributes["count"] = count
+        with tracer.span(f"{operation}:{mechanism}", **attributes):
+            result = call()
+        self._record_releases(tracer, 1 if count is None else count)
+        return result
+
+    def _collect_releases(self, draws) -> list:
+        """Materialize ``draws``, an iterator of real releases, as a list.
+
+        If a draw raises, the ones already made consumed their budget:
+        under an active tracer they are recorded as one aggregated event
+        before re-raising, so the ledger never under-counts.
+        """
         outputs = []
         try:
-            for _ in range(n):
-                outputs.append(release(self, dataset, random_state=rng))
+            for output in draws:
+                outputs.append(output)
         except BaseException:
             tracer = _trace.current()
             if tracer is not None and outputs:
-                spec = self.privacy
-                mechanism = type(self).__name__
-                tracer.record(
-                    MechanismReleaseEvent(
-                        label=mechanism,
-                        epsilon=spec.epsilon,
-                        delta=spec.delta,
-                        mechanism=mechanism,
-                        count=len(outputs),
-                    )
-                )
-                tracer.count("mechanism.releases", len(outputs))
+                self._record_releases(tracer, len(outputs))
             raise
         return outputs
 

@@ -31,7 +31,6 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.mechanisms.base import Mechanism, PrivacySpec
 from repro.observability import tracer as _trace
-from repro.observability.events import MechanismReleaseEvent
 from repro.utils.validation import check_positive, check_random_state
 
 
@@ -93,7 +92,9 @@ class LocalMechanism(Mechanism):
     :meth:`release` treats a sequence of records as the dataset and
     privatizes every one, which keeps local mechanisms drop-in
     compatible with auditors and accountants built for the central
-    :class:`~repro.mechanisms.base.Mechanism` interface.
+    :class:`~repro.mechanisms.base.Mechanism` interface;
+    :meth:`release_many` privatizes ``n`` tiled copies of the dataset
+    in one :meth:`_privatize_many` block.
     """
 
     @abc.abstractmethod
@@ -135,24 +136,12 @@ class LocalMechanism(Mechanism):
         tracer = _trace.current()
         if tracer is None:
             return self._privatize_many(records, rng)
-        mechanism = type(self).__name__
-        count = len(records)
-        with tracer.span(
-            f"privatize_many:{mechanism}", mechanism=mechanism, count=count
-        ):
-            outputs = self._privatize_many(records, rng)
-        spec = self.privacy
-        tracer.record(
-            MechanismReleaseEvent(
-                label=mechanism,
-                epsilon=spec.epsilon,
-                delta=spec.delta,
-                mechanism=mechanism,
-                count=count,
-            )
+        return self._run_traced(
+            tracer,
+            "privatize_many",
+            lambda: self._privatize_many(records, rng),
+            count=len(records),
         )
-        tracer.count("mechanism.releases", count)
-        return outputs
 
     def _check_records(self, records):
         """Materialize and validate the batch before any RNG is consumed.
@@ -187,27 +176,9 @@ class LocalMechanism(Mechanism):
         rng:
             A ready :class:`numpy.random.Generator`.
         """
-        outputs = []
-        try:
-            for record in records:
-                outputs.append(self.privatize(record, random_state=rng))
-        except BaseException:
-            tracer = _trace.current()
-            if tracer is not None and outputs:
-                spec = self.privacy
-                mechanism = type(self).__name__
-                tracer.record(
-                    MechanismReleaseEvent(
-                        label=mechanism,
-                        epsilon=spec.epsilon,
-                        delta=spec.delta,
-                        mechanism=mechanism,
-                        count=len(outputs),
-                    )
-                )
-                tracer.count("mechanism.releases", len(outputs))
-            raise
-        return outputs
+        return self._collect_releases(
+            self.privatize(record, random_state=rng) for record in records
+        )
 
     def release(self, dataset, random_state=None):
         """Privatize every record of ``dataset`` independently.
@@ -223,6 +194,43 @@ class LocalMechanism(Mechanism):
         rng = check_random_state(random_state)
         records = self._check_records(dataset)
         return self._privatize_many(records, rng)
+
+    def _release_many(self, dataset, n, rng):
+        """Batch kernel: ``n`` releases as one tiled :meth:`_privatize_many`.
+
+        The dataset is validated once, its m records are tiled ``n``
+        times (``np.tile`` for a record matrix, list repetition
+        otherwise) and privatized in a single block, which is then split
+        back into ``n`` releases. Every family reads the generator in a
+        fixed block per record, so the ``n·m`` records draw exactly what
+        ``n`` sequential :meth:`release` calls would: the outputs are
+        bit-identical and the generator ends at the same position.
+
+        Parameters
+        ----------
+        dataset:
+            Sequence of records, as :meth:`release` expects it.
+        n:
+            Number of releases (already validated, ≥ 1).
+        rng:
+            A ready :class:`numpy.random.Generator`.
+
+        Returns
+        -------
+        numpy.ndarray or list
+            An ``(n, m, …)`` array for array kernels, else ``n`` lists
+            of ``m`` outputs.
+        """
+        records = self._check_records(dataset)
+        m = len(records)
+        if isinstance(records, np.ndarray):
+            tiled = np.tile(records, (n, 1))
+        else:
+            tiled = records * n
+        outputs = self._privatize_many(tiled, rng)
+        if isinstance(outputs, np.ndarray):
+            return outputs.reshape((n, m) + outputs.shape[1:])
+        return [outputs[i * m : (i + 1) * m] for i in range(n)]
 
 
 class _CategoricalLocalMechanism(LocalMechanism):

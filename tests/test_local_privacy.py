@@ -94,6 +94,18 @@ class TestL2SamplingMechanism:
         report = mech.privatize(np.zeros(4), random_state=0)
         assert np.linalg.norm(report) == pytest.approx(mech.scale)
 
+    @pytest.mark.parametrize("zeroed", [1, 3])
+    def test_zero_direction_uniform_stays_on_the_sphere(self, zeroed):
+        # Regression: uniform() can return exactly 0.0 and ndtri(0) = -inf,
+        # so the direction used to be inf/inf — [nan, -0, -0] with one
+        # zeroed column, all NaN with three.
+        mech = L2SamplingMechanism(3, epsilon=1.0)
+        u = np.full((1, 5), 0.25)
+        u[0, :zeroed] = 0.0
+        report = mech._kernel(np.array([[0.6, 0.0, 0.8]]), u)[0]
+        assert np.isfinite(report).all()
+        assert np.linalg.norm(report) == pytest.approx(mech.scale, rel=1e-12)
+
     def test_rejects_norm_above_one(self):
         mech = L2SamplingMechanism(3, epsilon=1.0)
         with pytest.raises(ValidationError):

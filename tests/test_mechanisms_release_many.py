@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
+from repro.local_privacy import L2SamplingMechanism, LInfSamplingMechanism
 from repro.mechanisms import (
     GaussianMechanism,
     LaplaceMechanism,
@@ -82,9 +83,25 @@ _EXTRA_FAMILIES = {
     ),
     "k-randomized-response": lambda: (
         KRandomizedResponse(["x", "y", "z"], 1.0),
-        ["y", "x"],
+        ["y", "x", "y"],
     ),
-    "unary-encoding": lambda: (UnaryEncoding(["x", "y", "z"], 1.0), ["z", "z"]),
+    "unary-encoding": lambda: (
+        UnaryEncoding(["x", "y", "z"], 1.0),
+        ["z", "x", "z"],
+    ),
+    "unary-encoding-single": lambda: (UnaryEncoding(["x", "y", "z"], 1.0), ["y"]),
+    "l2-sampling": lambda: (
+        L2SamplingMechanism(3, 1.0),
+        np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-0.3, 0.4, 0.1]]),
+    ),
+    "linf-sampling": lambda: (
+        LInfSamplingMechanism(3, 1.0),
+        np.array([[0.0, 0.0, 0.0], [0.2, -0.7, 1.0], [-1.0, 1.0, -1.0]]),
+    ),
+    "linf-sampling-single": lambda: (
+        LInfSamplingMechanism(3, 1.0),
+        np.array([[1.0, -1.0, 0.5]]),
+    ),
 }
 
 FAMILIES = tuple(AUDIT_FAMILIES) + tuple(sorted(_EXTRA_FAMILIES))
@@ -108,16 +125,26 @@ def _as_list(outputs):
 
 
 class TestBatchSerialEquivalence:
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_batch_equals_sequential_releases(self, family):
+    # Every langevin draw runs a whole MALA chain, so its 500-draw case
+    # would take seconds; its own contract suite covers larger batches.
+    @pytest.mark.parametrize(
+        "family, n",
+        [
+            (family, n)
+            for family in FAMILIES
+            for n in (1, 7, 500)
+            if (family, n) != ("langevin", 500)
+        ],
+    )
+    def test_batch_equals_sequential_releases(self, family, n):
         mechanism, dataset = _build(family)
-        n = 6
-        batch = mechanism.release_many(
-            dataset, n, random_state=np.random.default_rng(_SEEDS[family])
-        )
+        batch_rng = np.random.default_rng(_SEEDS[family])
+        batch = mechanism.release_many(dataset, n, random_state=batch_rng)
         rng = np.random.default_rng(_SEEDS[family])
         serial = [mechanism.release(dataset, random_state=rng) for _ in range(n)]
         assert _as_list(batch) == _as_list(serial)
+        # Both paths leave the generator at the same position.
+        assert batch_rng.uniform() == rng.uniform()
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_single_draw_matches_release(self, family):
@@ -241,6 +268,28 @@ class TestBatchTracing:
         assert len(tracer.events) == 1
         assert tracer.events[0].count == 3
         assert tracer.metrics.counter("mechanism.releases") == 3
+
+
+# Datasets each local family must reject: an unknown category, or a
+# vector outside the unit ball.
+_INVALID_LOCAL = {
+    "k-randomized-response": ["x", "w"],
+    "unary-encoding": ["w"],
+    "l2-sampling": np.array([[0.1, 0.0, 0.0], [0.9, 0.9, 0.0]]),
+    "linf-sampling": np.array([[0.0, 1.5, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_INVALID_LOCAL))
+def test_local_invalid_dataset_rejected_before_rng_is_touched(family):
+    mechanism, _ = _build(family)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with tracing() as tracer:
+        with pytest.raises(ValidationError):
+            mechanism.release_many(_INVALID_LOCAL[family], 7, random_state=rng)
+    assert rng.bit_generator.state == state
+    assert tracer.events == []
 
 
 class TestBatchValidationAndState:

@@ -5,7 +5,7 @@ grid of E7 can discretize — comparing the regularized exponential
 mechanism (batched MALA sampling, `repro.private_learning.langevin`)
 against the output- and objective-perturbation baselines on the same
 two-Gaussian task. Test accuracy vs ε averaged over seeds, plus the
-batched-chain wall-clock that the CI perf gate tracks.
+batched-chain wall-clock against a per-chain loop.
 
 Expected shape (asserted): every method improves with ε toward the
 non-private baseline; the sampled mechanism is at least competitive with

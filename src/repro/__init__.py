@@ -57,7 +57,7 @@ from repro.mechanisms import (
     PrivacySpec,
     RandomizedResponse,
 )
-from repro.privacy import ExactPrivacyAuditor, SampledPrivacyAuditor
+from repro.privacy import ExactPrivacyAuditor
 from repro.testing import StatisticalAuditReport, assert_dp, audit_mechanism
 from repro.learning import (
     BernoulliTask,
@@ -122,7 +122,6 @@ __all__ = [
     "RandomizedResponse",
     "RegularizedExponentialMechanism",
     "ReproError",
-    "SampledPrivacyAuditor",
     "SensitivityError",
     "StatisticalAuditReport",
     "TwoGaussiansTask",

@@ -8,13 +8,10 @@ Commands
 ``bench``
     Drive the registered benchmark experiments through the parallel,
     cached engine and write machine-readable ``BENCH_<id>.json``
-    manifests. ``--compare BASELINE`` additionally diffs the fresh
-    timings against a committed ``perf_baseline.json`` under
-    ``--tolerance`` and fails on regression; ``--write-baseline PATH``
-    records a new baseline. Exit code 0 when every configuration
-    succeeded (and, with ``--compare``, no experiment regressed), 1 when
-    any failed after retries or exceeded the perf tolerance, 2 on usage
-    errors — the same contract as ``lint``/``audit``.
+    manifests. Exit code 0 when every configuration succeeded, 1 when
+    any failed after retries, 2 on usage errors — the same contract as
+    ``lint``/``audit``. Parent-vs-change timing lives in ``perf/``
+    (see ``perf/README.md``), not here.
 ``audit``
     Statistical verification of every mechanism family's claimed ε:
     Monte-Carlo audits with certified Clopper–Pearson lower bounds, plus
@@ -142,34 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="list_experiments",
         help="print the experiments the selection resolves to and exit",
     )
-    bench.add_argument(
-        "--compare",
-        metavar="BASELINE",
-        default=None,
-        help="diff this run's executed seconds against a committed "
-        "perf_baseline.json (forces fresh timings); exit 1 on regression",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=1.5,
-        help="largest acceptable measured/baseline slowdown ratio for "
-        "--compare (default: 1.5)",
-    )
-    bench.add_argument(
-        "--compare-output",
-        metavar="PATH",
-        default=None,
-        help="write the --compare report JSON here "
-        "(default: <output-dir>/PERF_COMPARE.json)",
-    )
-    bench.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        default=None,
-        help="record this run's executed seconds as the new perf baseline "
-        "(forces fresh timings)",
-    )
     _add_trace_flags(bench)
 
     audit = sub.add_parser(
@@ -271,21 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the workload with batching disabled and report "
         "the wall-clock speedup batching delivered",
-    )
-    loadtest.add_argument(
-        "--compare",
-        metavar="BASELINE",
-        default=None,
-        help="compare this run's wall seconds against the "
-        "LOADTEST_<id> entry of a committed perf_baseline.json; "
-        "exit 1 on regression",
-    )
-    loadtest.add_argument(
-        "--tolerance",
-        type=float,
-        default=5.0,
-        help="largest acceptable measured/baseline slowdown ratio for "
-        "--compare (default: 5.0 — CI runner speeds vary widely)",
     )
     loadtest.add_argument(
         "--format", choices=("text", "json"), default="text"
@@ -513,56 +467,6 @@ def _cmd_loadtest(args) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.compare is not None:
-        return _loadtest_compare(args, spec, report)
-    return 0
-
-
-def _loadtest_compare(args, spec, report) -> int:
-    """Gate a load-test run's wall seconds against the perf baseline."""
-    from repro.exceptions import ValidationError
-    from repro.experiments import load_baseline
-
-    if args.tolerance <= 0:
-        print("loadtest: --tolerance must be > 0", file=sys.stderr)
-        return 2
-    try:
-        baseline = load_baseline(args.compare)
-    except ValidationError as error:
-        print(f"loadtest: {error}", file=sys.stderr)
-        return 2
-    key = f"LOADTEST_{spec.loadtest_id}"
-    entry = baseline.experiments.get(key)
-    if entry is None:
-        print(
-            f"loadtest: baseline {args.compare} has no {key!r} entry",
-            file=sys.stderr,
-        )
-        return 2
-    measured = report["wall_clock"]["seconds"]
-    requests = report["deterministic"]["requests"]
-    if entry.get("configurations", 0) != requests:
-        print(
-            f"loadtest PERF GATE: workload changed ({requests} requests vs "
-            f"{entry.get('configurations', 0)} in the baseline); "
-            f"re-baseline {key}",
-            file=sys.stderr,
-        )
-        return 1
-    ratio = measured / entry["seconds"]
-    if ratio > args.tolerance:
-        print(
-            f"loadtest PERF REGRESSION: {measured:.4f}s is "
-            f"{ratio:.2f}x the committed {entry['seconds']:.4f}s "
-            f"(tolerance {args.tolerance:g}x)",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"loadtest perf OK: {measured:.4f}s vs baseline "
-        f"{entry['seconds']:.4f}s ({ratio:.2f}x <= {args.tolerance:g}x)",
-        file=sys.stderr,
-    )
     return 0
 
 
@@ -637,11 +541,8 @@ def _bench_body(args) -> int:
     from repro.exceptions import ValidationError
     from repro.experiments import (
         BenchmarkEngine,
-        PerfBaseline,
         ResultCache,
         ResultTable,
-        compare_to_baseline,
-        load_baseline,
         select_experiments,
     )
 
@@ -654,36 +555,14 @@ def _bench_body(args) -> int:
         for experiment in selected:
             print(f"{experiment.id}  {experiment.bench}")
         return 0
-    baseline = None
-    if args.compare is not None:
-        # Fail on a bad baseline *before* spending a bench run on it.
-        try:
-            baseline = load_baseline(args.compare)
-        except ValidationError as error:
-            print(f"bench: {error}", file=sys.stderr)
-            return 2
-    perf_mode = args.compare is not None or args.write_baseline is not None
-    if perf_mode and not args.no_cache:
-        # Cached timings are not timings; perf modes always measure fresh.
-        print(
-            "bench: --compare/--write-baseline force fresh timings "
-            "(result cache bypassed)",
-            file=sys.stderr,
-        )
     try:
         engine = BenchmarkEngine(
             workers=args.workers,
             timeout=args.timeout,
             retries=args.retries,
-            cache=(
-                None
-                if args.no_cache or perf_mode
-                else ResultCache(args.cache_dir)
-            ),
+            cache=None if args.no_cache else ResultCache(args.cache_dir),
             output_dir=args.output_dir,
         )
-        if args.tolerance <= 0:
-            raise ValidationError("--tolerance must be > 0")
     except ValidationError as error:
         print(f"bench: {error}", file=sys.stderr)
         return 2
@@ -727,68 +606,7 @@ def _bench_body(args) -> int:
             f"{sum(m.cache_hits for m in manifests)} cache hits, "
             f"{failures} failures"
         )
-    if failures:
-        return 1
-
-    if args.write_baseline is not None:
-        try:
-            note = f"repro bench {' '.join(args.experiments) or 'all'}"
-            path = PerfBaseline.from_manifests(manifests, note=note).write(
-                args.write_baseline
-            )
-        except ValidationError as error:
-            print(f"bench: {error}", file=sys.stderr)
-            return 2
-        print(f"perf baseline written: {path}", file=sys.stderr)
-
-    if baseline is not None:
-        try:
-            comparison = compare_to_baseline(
-                manifests, baseline, tolerance=args.tolerance
-            )
-        except ValidationError as error:
-            print(f"bench: {error}", file=sys.stderr)
-            return 2
-        report_path = args.compare_output or str(
-            Path(args.output_dir) / "PERF_COMPARE.json"
-        )
-        Path(report_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(report_path).write_text(
-            json.dumps(comparison.to_dict(), indent=2) + "\n"
-        )
-        table = ResultTable(
-            ["id", "baseline s", "measured s", "ratio", "verdict"],
-            title=f"Perf comparison (tolerance {comparison.tolerance:g}x)",
-        )
-        for entry in comparison.entries:
-            verdict = "ok"
-            if entry.configurations_changed:
-                verdict = "SWEEP CHANGED"
-            elif entry.regressed:
-                verdict = "REGRESSED"
-            table.add_row(
-                entry.experiment_id,
-                round(entry.baseline_seconds, 4),
-                round(entry.measured_seconds, 4),
-                round(entry.ratio, 3),
-                verdict,
-            )
-        print(table, file=sys.stderr)
-        if not comparison.ok:
-            slowest = ", ".join(e.experiment_id for e in comparison.regressions)
-            print(
-                f"bench PERF REGRESSION: {slowest} exceeded "
-                f"{comparison.tolerance:g}x of the committed baseline "
-                f"({args.compare}); report: {report_path}",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"bench perf OK: {len(comparison.entries)} experiment(s) within "
-            f"{comparison.tolerance:g}x of baseline; report: {report_path}",
-            file=sys.stderr,
-        )
-    return 0
+    return 1 if failures else 0
 
 
 def _cmd_audit(args) -> int:
@@ -910,11 +728,35 @@ def _cmd_audit_summary(args) -> int:
         print(f"audit-summary: {args.path} is not valid JSON: {error}",
               file=sys.stderr)
         return 2
-    reports = payload.get("reports")
-    if not isinstance(reports, list) or not isinstance(payload, dict):
+    reports = payload.get("reports") if isinstance(payload, dict) else None
+    if not isinstance(reports, list):
         print(
             f"audit-summary: {args.path} is not a `repro audit --format "
             "json` report (missing 'reports')",
+            file=sys.stderr,
+        )
+        return 2
+    # Validate every row before printing, so a bad report never leaves a
+    # half-written summary behind.
+    malformed = [
+        index
+        for index, report in enumerate(reports)
+        if not isinstance(report, dict)
+        or "mechanism" not in report
+        or not _all_numbers(
+            report, "claimed_epsilon", "epsilon_lower_bound", "point_estimate"
+        )
+    ]
+    exact = payload.get("gibbs_exact")
+    if isinstance(exact, dict) and not _all_numbers(
+        exact, "measured_epsilon", "claimed_epsilon"
+    ):
+        malformed.append("gibbs_exact")
+    if malformed:
+        print(
+            f"audit-summary: {args.path} has malformed report rows "
+            f"{malformed}: each needs 'mechanism' and numeric "
+            "'claimed_epsilon', 'epsilon_lower_bound', 'point_estimate'",
             file=sys.stderr,
         )
         return 2
@@ -939,7 +781,6 @@ def _cmd_audit_summary(args) -> int:
             f"| {report.get('point_estimate'):.4f} "
             f"| {mark} |"
         )
-    exact = payload.get("gibbs_exact")
     if isinstance(exact, dict):
         mark = "ok" if exact.get("satisfied") else "**VIOLATION**"
         print()
@@ -950,6 +791,15 @@ def _cmd_audit_summary(args) -> int:
             f"{exact.get('pairs_checked')} neighbour pairs — {mark}"
         )
     return 0
+
+
+def _all_numbers(row: dict, *keys: str) -> bool:
+    """Whether ``row`` holds a real number (not a bool) under every key."""
+    return all(
+        isinstance(row.get(key), (int, float))
+        and not isinstance(row.get(key), bool)
+        for key in keys
+    )
 
 
 def _cmd_tradeoff(args) -> int:

@@ -1,10 +1,10 @@
-"""Privacy definitions, neighbouring relations, and empirical auditing.
+"""Privacy definitions, neighbouring relations, and exact auditing.
 
-Definition 2.1 of the paper as executable predicates, plus two auditors:
-an *exact* one that computes the worst-case privacy loss of a mechanism
-whose output law is available in closed form on finite universes, and a
-*Monte-Carlo* one that lower-bounds ε from sampled outputs with a
-Clopper–Pearson-style confidence statement.
+Definition 2.1 of the paper as executable predicates, plus an *exact*
+auditor that computes the worst-case privacy loss of a mechanism whose
+output law is available in closed form on finite universes. The
+Monte-Carlo auditor, which lower-bounds ε from sampled outputs with a
+Clopper–Pearson confidence statement, is :mod:`repro.testing`.
 """
 
 from repro.privacy.definitions import (
@@ -13,11 +13,7 @@ from repro.privacy.definitions import (
     satisfies_approximate_dp,
     satisfies_pure_dp,
 )
-from repro.privacy.audit import (
-    AuditReport,
-    ExactPrivacyAuditor,
-    SampledPrivacyAuditor,
-)
+from repro.privacy.audit import AuditReport, ExactPrivacyAuditor
 from repro.privacy.hypothesis_testing import (
     AttackRoc,
     dp_advantage_bound,
@@ -49,7 +45,6 @@ __all__ = [
     "KRandomizedResponse",
     "LocalMechanism",
     "RenyiSpec",
-    "SampledPrivacyAuditor",
     "UnaryEncoding",
     "all_neighbour_pairs",
     "clip_and_renormalize",

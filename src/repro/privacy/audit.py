@@ -1,16 +1,12 @@
-"""Privacy auditors: measure the ε a mechanism actually provides.
+"""Exact privacy auditing: measure the ε a mechanism actually provides.
 
-Two complementary strategies:
-
-* :class:`ExactPrivacyAuditor` — for mechanisms exposing their exact output
-  distribution on finite ranges (the exponential mechanism, the Gibbs
-  estimator, randomized response, the geometric mechanism): enumerate every
-  neighbouring dataset pair on a finite universe and take the worst max
-  divergence. This *proves* Theorem 4.1's guarantee rather than sampling it.
-* :class:`SampledPrivacyAuditor` — for black-box mechanisms: draw many
-  outputs on a fixed neighbour pair, build empirical histograms, and report
-  a lower confidence bound on ε. A sampled audit can only ever *refute* a
-  claimed guarantee; the report says so explicitly.
+:class:`ExactPrivacyAuditor` serves mechanisms exposing their exact output
+distribution on finite ranges (the exponential mechanism, the Gibbs
+estimator, randomized response, the geometric mechanism): it enumerates
+every neighbouring dataset pair on a finite universe and takes the worst
+max divergence. This *proves* Theorem 4.1's guarantee rather than sampling
+it. Black-box mechanisms are audited statistically, with certified
+Clopper–Pearson bounds, by :func:`repro.testing.audit_mechanism`.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from repro.distributions.discrete import DiscreteDistribution
 from repro.exceptions import ValidationError
 from repro.information.divergences import max_divergence
 from repro.privacy.definitions import all_neighbour_pairs
-from repro.utils.validation import check_random_state
 
 
 @dataclass
@@ -142,84 +137,3 @@ class ExactPrivacyAuditor:
             exact=True,
         )
 
-
-class SampledPrivacyAuditor:
-    """Estimate the privacy loss of a black-box mechanism on one pair.
-
-    Draws ``n_samples`` outputs on each of two neighbouring datasets, forms
-    smoothed empirical histograms over the union of observed outputs, and
-    reports the max log-ratio. Laplace (add-one) smoothing keeps the
-    estimate finite; the smoothing makes the estimator conservative
-    (biased *downward*) for rare events, so the report is best read as a
-    lower bound on the true ε.
-
-    Parameters
-    ----------
-    release:
-        Black-box ``release(dataset, random_state=...)`` callable.
-    n_samples:
-        Outputs drawn per dataset.
-    smoothing:
-        Add-``smoothing`` pseudo-count per observed output.
-    """
-
-    def __init__(
-        self,
-        release: Callable,
-        *,
-        n_samples: int = 20_000,
-        smoothing: float = 1.0,
-    ) -> None:
-        if n_samples < 1:
-            raise ValidationError("n_samples must be >= 1")
-        if smoothing <= 0:
-            raise ValidationError("smoothing must be > 0")
-        self.release = release
-        self.n_samples = int(n_samples)
-        self.smoothing = float(smoothing)
-
-    def audit_pair(
-        self,
-        dataset_a: Sequence,
-        dataset_b: Sequence,
-        *,
-        claimed_epsilon: float | None = None,
-        random_state=None,
-    ) -> AuditReport:
-        """Sampled privacy-loss estimate for one neighbouring pair."""
-        rng = check_random_state(random_state)
-        outputs_a = [self.release(dataset_a, random_state=rng) for _ in range(self.n_samples)]
-        outputs_b = [self.release(dataset_b, random_state=rng) for _ in range(self.n_samples)]
-
-        support = sorted(set(outputs_a) | set(outputs_b), key=repr)
-        index = {o: i for i, o in enumerate(support)}
-        counts_a = np.full(len(support), self.smoothing)
-        counts_b = np.full(len(support), self.smoothing)
-        for o in outputs_a:
-            counts_a[index[o]] += 1
-        for o in outputs_b:
-            counts_b[index[o]] += 1
-        p = counts_a / counts_a.sum()
-        q = counts_b / counts_b.sum()
-
-        log_ratios = np.log(p) - np.log(q)
-        worst_idx = int(np.argmax(np.abs(log_ratios)))
-        measured = float(np.abs(log_ratios).max())
-
-        satisfied = None
-        if claimed_epsilon is not None:
-            satisfied = measured <= claimed_epsilon
-        return AuditReport(
-            measured_epsilon=measured,
-            claimed_epsilon=claimed_epsilon,
-            satisfied=satisfied,
-            worst_pair=(tuple(dataset_a), tuple(dataset_b)),
-            worst_output=support[worst_idx],
-            pairs_checked=1,
-            exact=False,
-            details={
-                "n_samples": self.n_samples,
-                "support_size": len(support),
-                "smoothing": self.smoothing,
-            },
-        )

@@ -72,7 +72,8 @@ class LoadTestSpec:
     Parameters
     ----------
     loadtest_id:
-        Identifier stamped on the report (``LOADTEST_<id>.json``).
+        Identifier stamped on the report (``LOADTEST_<id>.json``); it
+        may not contain ``/`` or ``\\``, nor be ``.`` or ``..``.
     clients:
         Number of concurrent simulated clients.
     requests_per_client:
@@ -118,6 +119,16 @@ class LoadTestSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.loadtest_id, str) or not self.loadtest_id:
             raise ValidationError("loadtest_id must be a non-empty string")
+        if (
+            "/" in self.loadtest_id
+            or "\\" in self.loadtest_id
+            or self.loadtest_id in (".", "..")
+        ):
+            # The id names the report file; it must not name a directory.
+            raise ValidationError(
+                f"loadtest_id must be a plain file-name part, "
+                f"got {self.loadtest_id!r}"
+            )
         for name in ("clients", "requests_per_client", "tenants", "candidates"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:

@@ -1,8 +1,8 @@
 """End-to-end exit-code contracts for ``repro lint``/``audit``/``bench``.
 
-All three subcommands share one contract, enforced here through ``main()``
-and through a real ``python -m repro`` subprocess (the code CI actually
-sees):
+These subcommands (and ``audit-summary``) share one contract, enforced
+here through ``main()`` and through a real ``python -m repro`` subprocess
+(the code CI actually sees):
 
 * 0 — clean: no findings / every audited claim holds;
 * 1 — findings: lint violations or a certified ε violation;
@@ -217,6 +217,119 @@ class TestBenchExitCodes:
         result = _run_module("bench", "E14", *self._dirs(tmp_path))
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "out" / "BENCH_E14.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--compare", "x.json"],
+            ["bench", "--tolerance", "1.5"],
+            ["bench", "--compare-output", "x.json"],
+            ["bench", "--write-baseline", "x.json"],
+            ["loadtest", "--compare", "x.json"],
+            ["loadtest", "--tolerance", "5"],
+        ],
+    )
+    def test_absolute_seconds_gate_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _audit_row(mechanism="laplace", satisfied=True, **overrides):
+    row = {
+        "mechanism": mechanism,
+        "claimed_epsilon": 1.0,
+        "epsilon_lower_bound": 0.8123,
+        "point_estimate": 0.9456,
+        "satisfied": satisfied,
+    }
+    row.update(overrides)
+    return row
+
+
+class TestAuditSummaryExitCodes:
+    def _write(self, tmp_path, payload) -> str:
+        path = tmp_path / "audit.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def test_clean_report_renders_rows(self, capsys, tmp_path):
+        payload = {
+            "n": 3, "samples": 2000, "confidence": 0.999, "seed": 0,
+            "satisfied": True,
+            "reports": [_audit_row("laplace"), _audit_row("geometric")],
+            "gibbs_exact": {
+                "measured_epsilon": 0.9, "claimed_epsilon": 1.0,
+                "satisfied": True, "pairs_checked": 24,
+            },
+        }
+        assert main(["audit-summary", self._write(tmp_path, payload)]) == 0
+        out = capsys.readouterr().out
+        assert "✅ all audits within claimed ε" in out
+        assert "| laplace | 1 | 0.8123 | 0.9456 | ok |" in out
+        assert "| geometric |" in out
+        assert "Gibbs exact enumeration: measured ε = 0.9000" in out
+
+    def test_violation_report_is_flagged_and_exits_zero(self, capsys, tmp_path):
+        payload = {
+            "satisfied": False,
+            "reports": [_audit_row("laplace", satisfied=False)],
+        }
+        assert main(["audit-summary", self._write(tmp_path, payload)]) == 0
+        out = capsys.readouterr().out
+        assert "❌ VIOLATION" in out
+        assert "**VIOLATION**" in out
+
+    def test_missing_file_exits_two(self, capsys, tmp_path):
+        assert main(["audit-summary", str(tmp_path / "absent.json")]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_invalid_json_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "audit.json"
+        path.write_text("{not json")
+        assert main(["audit-summary", str(path)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [[], {"satisfied": True}, {"reports": {}}],
+        ids=["json-array", "missing-reports", "reports-not-a-list"],
+    )
+    def test_non_report_payload_exits_two(self, payload, capsys, tmp_path):
+        assert main(["audit-summary", self._write(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert "missing 'reports'" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "laplace",
+            {"claimed_epsilon": 1.0, "epsilon_lower_bound": 0.5,
+             "point_estimate": 0.6},
+            _audit_row(claimed_epsilon=None),
+            _audit_row(epsilon_lower_bound="0.5"),
+        ],
+        ids=["not-a-dict", "no-mechanism", "no-claim", "string-bound"],
+    )
+    def test_malformed_row_exits_two_before_printing(
+        self, row, capsys, tmp_path
+    ):
+        payload = {"satisfied": True, "reports": [_audit_row(), row]}
+        assert main(["audit-summary", self._write(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert "malformed report rows [1]" in captured.err
+        assert captured.out == ""
+
+    def test_malformed_exact_section_exits_two(self, capsys, tmp_path):
+        payload = {
+            "satisfied": True,
+            "reports": [_audit_row()],
+            "gibbs_exact": {"satisfied": True},
+        }
+        assert main(["audit-summary", self._write(tmp_path, payload)]) == 2
+        assert "gibbs_exact" in capsys.readouterr().err
 
 
 class TestTraceCli:

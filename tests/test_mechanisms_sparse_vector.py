@@ -87,19 +87,3 @@ class TestAboveThreshold:
         assert above_threshold(
             data, queries, threshold=0.0, epsilon=10.0, random_state=1
         ) is None
-
-    def test_empirical_privacy_of_answer_pattern(self):
-        """Sampled audit of the full answer vector on a neighbour pair:
-        the measured loss stays within the ε budget (with sampling slack)."""
-        from repro.privacy import SampledPrivacyAuditor
-
-        epsilon = 0.4
-        queries = [lambda d: float(sum(d))] * 3
-
-        def release(dataset, random_state=None):
-            sv = SparseVector(threshold=1.5, sensitivity=1.0, epsilon=epsilon)
-            return tuple(sv.release((list(dataset), queries), random_state=random_state))
-
-        auditor = SampledPrivacyAuditor(release, n_samples=30_000)
-        report = auditor.audit_pair([1, 1], [1, 0], random_state=2)
-        assert report.measured_epsilon <= epsilon + 0.1

@@ -7,7 +7,6 @@ from repro.distributions import DiscreteDistribution
 from repro.mechanisms import ExponentialMechanism, RandomizedResponse
 from repro.privacy import (
     ExactPrivacyAuditor,
-    SampledPrivacyAuditor,
     all_neighbour_pairs,
     is_neighbour,
     satisfies_approximate_dp,
@@ -120,41 +119,3 @@ class TestExactAuditor:
         report = auditor.audit([0, 1], n=1, claimed_epsilon=1.0)
         assert "exact" in str(report)
         assert "OK" in str(report)
-
-
-class TestSampledAuditor:
-    def test_estimates_rr_epsilon(self):
-        epsilon = 1.0
-        rr = RandomizedResponse(epsilon=epsilon)
-
-        def release(dataset, random_state=None):
-            return rr.randomize_bit(dataset[0], random_state=random_state)
-
-        auditor = SampledPrivacyAuditor(release, n_samples=100_000)
-        report = auditor.audit_pair([0], [1], random_state=0)
-        assert not report.exact
-        assert report.measured_epsilon == pytest.approx(epsilon, abs=0.05)
-
-    def test_flags_gross_violation(self):
-        def release(dataset, random_state=None):
-            # Nearly deterministic leak of the record.
-            rng = np.random.default_rng(
-                random_state.integers(2**31)
-                if isinstance(random_state, np.random.Generator)
-                else random_state
-            )
-            return dataset[0] if rng.uniform() < 0.999 else 1 - dataset[0]
-
-        auditor = SampledPrivacyAuditor(release, n_samples=50_000)
-        report = auditor.audit_pair([0], [1], claimed_epsilon=1.0, random_state=1)
-        assert not report.satisfied
-
-    def test_rejects_bad_parameters(self):
-        from repro.exceptions import ValidationError
-
-        with pytest.raises(ValidationError):
-            SampledPrivacyAuditor(lambda d, random_state=None: 0, n_samples=0)
-        with pytest.raises(ValidationError):
-            SampledPrivacyAuditor(
-                lambda d, random_state=None: 0, smoothing=0.0
-            )

@@ -320,9 +320,6 @@ def _add_workload_flags(subparser) -> None:
         "--budget", type=float, default=50.0, help="per-tenant ε budget"
     )
     subparser.add_argument(
-        "--shards", type=int, default=4, help="accountant shards per tenant"
-    )
-    subparser.add_argument(
         "--candidates", type=int, default=64,
         help="candidate-range size for --mechanism exponential",
     )
@@ -358,7 +355,6 @@ def _workload_spec(args):
         mechanism=args.mechanism,
         epsilon=args.epsilon,
         budget_epsilon=args.budget,
-        shards=args.shards,
         candidates=args.candidates,
         mean_think=args.mean_think,
         flush_window=args.flush_window,

@@ -87,6 +87,18 @@ class PrivacyAccountant:
         return self._spent
 
     @property
+    def spent_epsilon(self) -> float:
+        """Total ε spent so far (0.0 when nothing is recorded)."""
+        spent = self._spent
+        return spent.epsilon if spent else 0.0
+
+    @property
+    def spent_delta(self) -> float:
+        """Total δ spent so far (0.0 when nothing is recorded)."""
+        spent = self._spent
+        return spent.delta if spent else 0.0
+
+    @property
     def remaining_epsilon(self) -> float:
         """Unspent ε under basic composition."""
         spent = self._spent
@@ -114,10 +126,9 @@ class PrivacyAccountant:
         """Atomically record an expenditure if affordable; report success.
 
         Unlike :meth:`charge`, an unaffordable spec returns ``False``
-        *silently* — no exception, no refusal event. This is the primitive
-        a sharded accountant needs to probe several shards for capacity:
-        only the caller knows whether exhausting one shard is a refusal or
-        just a reason to try the next.
+        *silently* — no exception, no refusal event — for callers that
+        treat an unaffordable release as an expected outcome rather than
+        a refusal to be logged.
 
         Parameters
         ----------
@@ -200,14 +211,17 @@ class PrivacyAccountant:
                     f"no recorded charge {spec} labelled {label!r} to refund"
                 )
             del self._ledger[index]
-            # Refold the (short) ledger rather than subtracting: refunds
-            # are rare failure-path events, and refolding keeps the
-            # running total exactly equal to the composition of the
-            # entries that remain — no drift, no negative residue.
-            spent = None
+            # Refold the ledger rather than subtracting, so the running
+            # total stays exactly the composition of the entries that
+            # remain — no drift, no negative residue. Plain float adds in
+            # ledger order are bit-identical to the ``compose`` fold
+            # (``0.0 + x == x``) without building a PrivacySpec per entry;
+            # ``sum()`` is not, since Python 3.12 compensates its rounding.
+            epsilon = delta = 0.0
             for entry in self._ledger:
-                spent = entry.spec if spent is None else spent.compose(entry.spec)
-            self._spent = spent
+                epsilon += entry.spec.epsilon
+                delta += entry.spec.delta
+            self._spent = PrivacySpec(epsilon, delta) if self._ledger else None
         tracer = _trace.current()
         if tracer is not None:
             tracer.record(

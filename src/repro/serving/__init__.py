@@ -3,7 +3,7 @@
 PINQ's lesson — privacy must be enforced at the *platform* boundary, not
 promised by call sites — applied to this reproduction: every release
 request passes one :class:`~repro.serving.service.ReleaseService` that
-charges a per-tenant sharded accountant before anything runs, coalesces
+charges the tenant's privacy accountant before anything runs, coalesces
 concurrent same-key requests into single ``release_many`` batches (kept
 invisible by the mechanisms' stream-equivalence contract), and wraps
 execution in timeouts, deterministic-reseed retries, and graceful drain.
@@ -27,7 +27,7 @@ from repro.serving.loadtest import (
     write_report,
 )
 from repro.serving.service import ReleaseService, ServiceConfig
-from repro.serving.tenants import ShardedAccountant, Tenant, TenantRegistry
+from repro.serving.tenants import Tenant, TenantRegistry
 
 __all__ = [
     "Clock",
@@ -35,7 +35,6 @@ __all__ = [
     "LoadTestSpec",
     "ReleaseService",
     "ServiceConfig",
-    "ShardedAccountant",
     "SimulatedClock",
     "SystemClock",
     "Tenant",

@@ -89,8 +89,6 @@ class LoadTestSpec:
         Per-release ε of the served mechanism.
     budget_epsilon:
         Each tenant's total ε budget.
-    shards:
-        Accountant shards per tenant.
     candidates:
         Candidate-range size for the exponential mechanism.
     mean_think:
@@ -107,7 +105,6 @@ class LoadTestSpec:
     mechanism: str = "laplace"
     epsilon: float = 0.05
     budget_epsilon: float = 50.0
-    shards: int = 4
     candidates: int = 64
     mean_think: float = 0.01
     flush_window: float = 0.02
@@ -169,7 +166,6 @@ def _build_service(spec: LoadTestSpec, clock) -> tuple[ReleaseService, object]:
             PrivacySpec(spec.budget_epsilon),
             seed=derive_seed("loadtest.tenant", spec.loadtest_id, index,
                              base_seed=spec.seed),
-            shards=spec.shards,
         )
     service = ReleaseService(
         registry,

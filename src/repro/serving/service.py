@@ -3,7 +3,7 @@
 :class:`ReleaseService` is the single concurrent entry point in front of
 the library's mechanisms. Every request passes through the same sequence:
 
-1. **Admission control** — the tenant's sharded accountant is charged
+1. **Admission control** — the tenant's privacy accountant is charged
    *before* anything executes (a reservation). A tenant over budget is
    refused here with a ledger
    :class:`~repro.observability.events.BudgetRefusalEvent` and a raised

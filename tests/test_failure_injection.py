@@ -216,7 +216,7 @@ FLAKY_DATASET = [0.25, 0.75]
 def flaky_service(clock, mechanism, *, budget=10.0, **config):
     """One-tenant service fronting an injected-fault mechanism."""
     registry = TenantRegistry()
-    registry.register("alice", PrivacySpec(budget), seed=13, shards=2)
+    registry.register("alice", PrivacySpec(budget), seed=13)
     service = ReleaseService(
         registry, clock=clock, config=ServiceConfig(**config)
     )

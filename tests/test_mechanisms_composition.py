@@ -1,6 +1,8 @@
 """Unit tests for composition theorems and the accountant."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import PrivacyBudgetError, ValidationError
 from repro.mechanisms import (
@@ -219,3 +221,54 @@ class TestRelativeBudgetTolerance:
         acct.charge(PrivacySpec(1e-12))
         with pytest.raises(PrivacyBudgetError):
             acct.charge(PrivacySpec(5e-13))
+
+
+def _compose_fold(entries):
+    """The reference total: ``PrivacySpec.compose`` over entries in order."""
+    total = None
+    for entry in entries:
+        total = entry.spec if total is None else total.compose(entry.spec)
+    return total
+
+
+class TestRefundExactness:
+    """A refund leaves ``spent`` equal, bit for bit, to the composition of
+    the ledger entries that remain — whichever matching entry it removes.
+
+    Summing with compensated rounding (the built-in ``sum()`` on Python
+    ≥ 3.12) would break this at the last bit, and with it admission
+    decisions at the budget boundary.
+    """
+
+    CHARGES = st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b"]),
+            st.floats(min_value=1e-6, max_value=1.0),
+            st.sampled_from([0.0, 1e-9, 3e-7]),
+        ),
+        min_size=1,
+        max_size=24,
+    )
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(charges=CHARGES)
+    def test_spent_is_the_compose_fold_after_each_refund(self, charges):
+        acct = PrivacyAccountant(budget=PrivacySpec(25.0, delta=1e-3))
+        for label, epsilon, delta in charges:
+            acct.charge(PrivacySpec(epsilon, delta), label=label)
+        for which in ("last", "first", "middle"):
+            ledger = acct.ledger()
+            if not ledger:
+                break
+            n = len(ledger)
+            entry = ledger[{"last": n - 1, "first": 0, "middle": n // 2}[which]]
+            acct.refund(entry.spec, label=entry.label)
+            expected = _compose_fold(acct.ledger())
+            if expected is None:
+                assert acct.spent is None
+                assert acct.spent_epsilon == acct.spent_delta == 0.0
+                continue
+            assert acct.spent.epsilon.hex() == expected.epsilon.hex()
+            assert acct.spent.delta.hex() == expected.delta.hex()
+            assert acct.spent_epsilon == expected.epsilon
+            assert acct.spent_delta == expected.delta

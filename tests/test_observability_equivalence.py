@@ -39,7 +39,6 @@ from repro.mechanisms import (
 from repro.mechanisms.quantile import ExponentialQuantile
 from repro.observability import Tracer, current, ledger_totals, tracing
 from repro.privacy.local import KRandomizedResponse, UnaryEncoding
-from repro.serving import ShardedAccountant
 from repro.testing import AUDIT_FAMILIES, build_audit
 
 
@@ -312,21 +311,6 @@ class TestConcurrentAccountant:
         # Net of charge and refund events reproduces the final spend.
         epsilon, _ = ledger_totals(tracer.events, kinds=("charge", "refund"))
         assert epsilon == pytest.approx(expected)
-
-    def test_sharded_accountant_hammered_never_overspends(self):
-        accountant = ShardedAccountant(PrivacySpec(epsilon=1.0), shards=4)
-        spec = PrivacySpec(self.EPS)
-        successes = [0] * self.THREADS
-
-        def worker(index):
-            for _ in range(300):
-                if accountant.try_charge(spec):
-                    successes[index] += 1
-
-        self._hammer(worker)
-        assert sum(successes) == 1024
-        assert accountant.spent_epsilon == 1.0
-        assert not accountant.try_charge(spec)
 
 
 def _budgeted_case(epsilon, seed):

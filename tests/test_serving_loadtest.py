@@ -121,7 +121,6 @@ class TestBudgetSafety:
             seed=5,
             epsilon=0.05,
             budget_epsilon=1.0,
-            shards=4,
         )
         report = run_loadtest(spec)
         deterministic = report["deterministic"]

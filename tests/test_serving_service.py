@@ -25,7 +25,6 @@ from repro.observability import Tracer, ledger_totals, tracing
 from repro.serving import (
     ReleaseService,
     ServiceConfig,
-    ShardedAccountant,
     SimulatedClock,
     TenantRegistry,
 )
@@ -40,7 +39,6 @@ def make_service(
     *,
     budget=PrivacySpec(100.0),
     seed=11,
-    shards=2,
     tenants=("alice",),
     epsilon=0.5,
     **config,
@@ -48,7 +46,7 @@ def make_service(
     """A registry + service + Laplace mechanism wired for one test."""
     registry = TenantRegistry()
     for tenant_id in tenants:
-        registry.register(tenant_id, budget, seed=seed, shards=shards)
+        registry.register(tenant_id, budget, seed=seed)
     service = ReleaseService(
         registry, clock=clock, config=ServiceConfig(**config)
     )
@@ -132,44 +130,18 @@ class TestSimulatedClock:
             clock.run(main())
 
 
-class TestShardedAccountant:
-    def test_budget_is_split_and_enforced(self):
-        accountant = ShardedAccountant(PrivacySpec(1.0), shards=4)
-        spent = 0
-        while accountant.try_charge(PrivacySpec(0.25)):
-            spent += 1
-        assert spent == 4
-        assert accountant.spent_epsilon == pytest.approx(1.0)
-        assert not accountant.try_charge(PrivacySpec(0.25))
-
-    def test_refusal_emits_exactly_one_event(self):
-        accountant = ShardedAccountant(PrivacySpec(1.0), shards=4)
-        tracer = Tracer("shard-refusal")
-        with tracing(tracer):
-            with pytest.raises(PrivacyBudgetError):
-                accountant.charge(PrivacySpec(0.9))
-        refusals = [e for e in tracer.events if e.kind == "refusal"]
-        assert len(refusals) == 1
-        assert tracer.metrics.counter("accountant.refusals") == 1
-
+class TestTenantAccountant:
     def test_refund_restores_capacity(self):
-        accountant = ShardedAccountant(PrivacySpec(1.0), shards=2)
-        assert accountant.try_charge(PrivacySpec(0.5), label="r")
-        accountant.refund(PrivacySpec(0.5), label="r")
+        accountant = TenantRegistry().register("a", PrivacySpec(1.0)).accountant
+        assert accountant.try_charge(PrivacySpec(1.0), label="r")
+        accountant.refund(PrivacySpec(1.0), label="r")
         assert accountant.spent_epsilon == 0.0
-        assert accountant.try_charge(PrivacySpec(0.5), label="r")
+        assert accountant.try_charge(PrivacySpec(1.0), label="r")
 
     def test_refund_without_charge_raises(self):
-        accountant = ShardedAccountant(PrivacySpec(1.0), shards=2)
+        accountant = TenantRegistry().register("a", PrivacySpec(1.0)).accountant
         with pytest.raises(ValidationError, match="refund"):
             accountant.refund(PrivacySpec(0.5))
-
-    def test_fragmentation_refuses_early_never_overspends(self):
-        # A 0.6 charge cannot fit any 0.5-capacity shard even though the
-        # pooled remainder would cover it: refusal, not overshoot.
-        accountant = ShardedAccountant(PrivacySpec(1.0), shards=2)
-        assert not accountant.try_charge(PrivacySpec(0.6))
-        assert accountant.spent_epsilon == 0.0
 
 
 class TestTenantRegistry:
@@ -275,8 +247,7 @@ class TestAdmissionControl:
     def test_over_budget_tenant_is_refused_before_release(self):
         clock = SimulatedClock()
         service = make_service(
-            clock, budget=PrivacySpec(1.0), epsilon=0.4, flush_window=0.01,
-            shards=1,
+            clock, budget=PrivacySpec(1.0), epsilon=0.4, flush_window=0.01
         )
         tracer = Tracer("admission")
 
@@ -301,6 +272,85 @@ class TestAdmissionControl:
         spent = service.registry.get("alice").accountant.spent_epsilon
         assert ledger_totals(tracer.events, kinds=("charge", "refund"))[0] == (
             pytest.approx(spent)
+        )
+
+    @pytest.mark.parametrize("costs", [(0.3, 0.7), (1.0,)])
+    def test_whole_budget_is_admissible(self, costs):
+        """Any request the tenant's remaining budget covers is served, up
+        to the last unit of ε — including one larger than a quarter of the
+        budget, and one costing the whole budget."""
+        clock = SimulatedClock()
+        service = make_service(
+            clock, budget=PrivacySpec(1.0), epsilon=0.05, flush_window=0.01
+        )
+        for cost in costs:
+            service.add_mechanism(
+                f"sum-{cost}",
+                LaplaceMechanism(lambda d: float(np.sum(d)), 1.0, cost),
+            )
+        tracer = Tracer("full-budget")
+
+        async def main():
+            for cost in costs:
+                await service.submit("alice", f"sum-{cost}", DATASET)
+            with pytest.raises(PrivacyBudgetError):
+                await service.submit("alice", "sum", DATASET)
+
+        with tracing(tracer):
+            clock.run(main())
+        accountant = service.registry.get("alice").accountant
+        assert accountant.spent_epsilon == 1.0
+        assert accountant.remaining_epsilon == 0.0
+        assert tracer.metrics.counter("serving.released") == len(costs)
+        refusals = [e for e in tracer.events if e.kind == "refusal"]
+        assert len(refusals) == 1
+        assert refusals[0].epsilon == 0.05
+        assert refusals[0].remaining_epsilon == 0.0
+
+    def test_ledger_events_carry_the_tenant_remainder(self):
+        """Every charge and refund event reports what the tenant has left,
+        and the events net out to the accountant's spend. Costs are
+        dyadic so every partial sum is exact."""
+        clock = SimulatedClock()
+        registry = TenantRegistry()
+        registry.register("alice", PrivacySpec(1.0), seed=11)
+        mechanism = LaplaceMechanism(lambda d: float(np.sum(d)), 1.0, 0.125)
+        served = ReleaseService(
+            registry, clock=clock, config=ServiceConfig(flush_window=0.01)
+        )
+        # Requests on this front door time out while queued and refund.
+        abandoned = ReleaseService(
+            registry, clock=clock,
+            config=ServiceConfig(flush_window=0.5, request_timeout=0.01),
+        )
+        served.add_mechanism("sum", mechanism)
+        abandoned.add_mechanism("sum", mechanism)
+        tracer = Tracer("remainders")
+
+        async def main():
+            for service in (served, abandoned, served, served, abandoned,
+                            served):
+                try:
+                    await service.submit("alice", "sum", DATASET)
+                except ServingTimeoutError:
+                    pass
+            await abandoned.drain()
+
+        with tracing(tracer):
+            clock.run(main())
+        ledger = [e for e in tracer.events if e.kind in ("charge", "refund")]
+        assert [e.kind for e in ledger] == [
+            "charge", "charge", "refund", "charge", "charge", "charge",
+            "refund", "charge",
+        ]
+        net = 0.0
+        for event in ledger:
+            net += event.epsilon if event.kind == "charge" else -event.epsilon
+            assert event.remaining_epsilon == 1.0 - net
+        accountant = registry.get("alice").accountant
+        assert accountant.spent_epsilon == 0.5
+        assert ledger_totals(tracer.events, kinds=("charge", "refund"))[0] == (
+            accountant.spent_epsilon
         )
 
     def test_unknown_mechanism_and_bad_n_are_usage_errors(self):

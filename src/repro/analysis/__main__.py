@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 from dataclasses import replace
@@ -58,10 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=1,
+        default=os.cpu_count() or 1,
         metavar="N",
         help="analyze files across N processes (output is identical to "
-        "serial; default: 1)",
+        "serial; default: the CPU count)",
     )
     parser.add_argument(
         "--baseline",

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -262,9 +263,10 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--jobs",
         type=int,
-        default=1,
+        default=os.cpu_count() or 1,
         metavar="N",
-        help="analyze files across N processes (output identical to serial)",
+        help="analyze files across N processes (output identical to serial; "
+        "default: the CPU count)",
     )
     lint.add_argument(
         "--baseline",

@@ -30,20 +30,33 @@ def _pair(p_dist, q_dist) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def kl_divergence(p_dist, q_dist) -> float:
-    """``KL(p ‖ q) = Σ p log(p/q)`` in nats; ``inf`` if p ⋪ q."""
-    p, q = _pair(p_dist, q_dist)
+def _kl(p: np.ndarray, q: np.ndarray) -> float:
     mask = p > 0
     if np.any(q[mask] == 0):
         return float("inf")
     return float((p[mask] * (np.log(p[mask]) - np.log(q[mask]))).sum())
 
 
+def _bernoulli(p: float) -> np.ndarray:
+    """``[p, 1-p]`` renormalised exactly as ``check_probability_vector`` does.
+
+    For ``p`` in ``[0, 1]`` the pair is nonnegative and sums to one within
+    an ulp, so the range check on ``p`` stands in for the vector checks.
+    """
+    pair = np.array([p, 1 - p])
+    return pair / float(pair.sum())
+
+
+def kl_divergence(p_dist, q_dist) -> float:
+    """``KL(p ‖ q) = Σ p log(p/q)`` in nats; ``inf`` if p ⋪ q."""
+    return _kl(*_pair(p_dist, q_dist))
+
+
 def binary_kl(p: float, q: float) -> float:
     """KL divergence between Bernoulli(p) and Bernoulli(q), ``kl(p‖q)``."""
     p = check_in_range(p, name="p", low=0.0, high=1.0)
     q = check_in_range(q, name="q", low=0.0, high=1.0)
-    return kl_divergence(np.array([p, 1 - p]), np.array([q, 1 - q]))
+    return _kl(_bernoulli(p), _bernoulli(q))
 
 
 def binary_kl_inverse(p: float, budget: float, *, tol: float = 1e-12) -> float:
@@ -56,11 +69,12 @@ def binary_kl_inverse(p: float, budget: float, *, tol: float = 1e-12) -> float:
     if budget == 0:
         return p
     lo, hi = p, 1.0
-    if binary_kl(p, 1.0) <= budget:
+    p_pair = _bernoulli(p)
+    if _kl(p_pair, _bernoulli(1.0)) <= budget:
         return 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if binary_kl(p, mid) <= budget:
+        if _kl(p_pair, _bernoulli(mid)) <= budget:
             lo = mid
         else:
             hi = mid

@@ -5,7 +5,9 @@ everything becomes exact: the empirical-risk *matrix* ``R̂[i, j]`` (risk of
 predictor j on dataset i) is simultaneously the PAC-Bayes bound input, the
 exponential-mechanism quality table, and the distortion matrix of the
 rate–distortion formulation of Theorem 4.2. :class:`PredictorGrid` packages
-a grid with its per-sample loss function.
+a grid with its loss function, which is record-batched: ``loss(θ, records)``
+scores every record of a stacked sample at once, so a risk vector costs one
+loss call per grid point rather than one per record and grid point.
 """
 
 from __future__ import annotations
@@ -60,14 +62,17 @@ def erm_minimizer(
 
 
 class PredictorGrid:
-    """A finite predictor space Θ with its per-sample loss.
+    """A finite predictor space Θ with its record-batched loss.
 
     Parameters
     ----------
     thetas:
         The grid of candidate predictors.
     loss:
-        ``loss(theta, z) -> float``; must take values in ``loss_bounds``.
+        ``loss(theta, records) -> ndarray``: the per-record losses of one
+        predictor on the stacked sample ``records`` (a float array of
+        shape ``(n,)`` or ``(n, r)``, one row per record), returned with
+        shape exactly ``(n,)`` and values in ``loss_bounds``.
     loss_bounds:
         ``(lo, hi)`` bound on the loss — gives the empirical risk its
         ``(hi-lo)/n`` sensitivity.
@@ -76,7 +81,7 @@ class PredictorGrid:
     def __init__(
         self,
         thetas: Sequence,
-        loss: Callable[[object, object], float],
+        loss: Callable[[object, np.ndarray], np.ndarray],
         *,
         loss_bounds: tuple[float, float] = (0.0, 1.0),
     ) -> None:
@@ -103,27 +108,44 @@ class PredictorGrid:
             raise ValidationError("n must be >= 1")
         return self.loss_range / float(n)
 
-    def losses_on(self, z) -> np.ndarray:
-        """Vector of ``loss(θ, z)`` over the grid, validated against bounds."""
-        values = np.asarray(
-            [float(self.loss(theta, z)) for theta in self.thetas], dtype=float
-        )
+    def empirical_risks(self, sample: Sequence) -> np.ndarray:
+        """Vector ``R̂(θ)`` over the grid for one sample.
+
+        The records are stacked once and the loss is called once per θ.
+        The ``(n, k)`` loss matrix is summed down its rows in record order,
+        the same additions a per-record running total makes: an in-place
+        ``accumulate`` is sequential by definition, where ``reduce`` folds a
+        single-column matrix into a pairwise sum and changes its bits.
+        """
+        try:
+            records = np.asarray(sample, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"sample records must stack into a float array: {exc}"
+            ) from None
+        if records.ndim not in (1, 2):
+            raise ValidationError(
+                "sample must stack into shape (n,) or (n, r), "
+                f"got {records.shape}"
+            )
+        n = records.shape[0]
+        if n == 0:
+            raise ValidationError("sample must not be empty")
+        matrix = np.empty((n, len(self.thetas)))
+        for j, theta in enumerate(self.thetas):
+            losses = np.asarray(self.loss(theta, records), dtype=float)
+            if losses.shape != (n,):
+                raise ValidationError(
+                    f"loss must return one value per record, shape ({n},); "
+                    f"got {losses.shape}"
+                )
+            matrix[:, j] = losses
         lo, hi = self.loss_bounds
-        if np.any(values < lo - 1e-12) or np.any(values > hi + 1e-12):
+        if not np.all((matrix >= lo - 1e-12) & (matrix <= hi + 1e-12)):
             raise ValidationError(
                 "loss left its declared bounds; sensitivity math would be wrong"
             )
-        return values
-
-    def empirical_risks(self, sample: Sequence) -> np.ndarray:
-        """Vector ``R̂(θ)`` over the grid for one sample."""
-        sample = list(sample)
-        if not sample:
-            raise ValidationError("sample must not be empty")
-        total = np.zeros(len(self.thetas))
-        for z in sample:
-            total += self.losses_on(z)
-        return total / len(sample)
+        return np.add.accumulate(matrix, axis=0, out=matrix)[-1] / n
 
     def erm(self, sample: Sequence):
         """Grid ERM: the θ minimizing the empirical risk."""
@@ -133,7 +155,7 @@ class PredictorGrid:
     @classmethod
     def linspace(
         cls,
-        loss: Callable[[float, object], float],
+        loss: Callable[[float, np.ndarray], np.ndarray],
         low: float,
         high: float,
         size: int,

@@ -111,8 +111,8 @@ class GibbsDensityEstimator(Mechanism):
         def loss(candidate, z):
             probs = np.asarray(candidate)
             # Density value = bin probability × bins (bin width 1/bins).
-            density = probs[_bin_index(np.array([z]), self.bins)[0]] * self.bins
-            return float(min(-np.log(max(density, 1e-300)), self.loss_ceiling))
+            density = probs[_bin_index(z, self.bins)] * self.bins
+            return np.minimum(-np.log(np.maximum(density, 1e-300)), self.loss_ceiling)
 
         grid = PredictorGrid(
             self.candidates, loss, loss_bounds=(-np.log(self.bins) - 1e-9, self.loss_ceiling)

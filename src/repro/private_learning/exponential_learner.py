@@ -79,10 +79,9 @@ def direction_grid(
     return directions
 
 
-def _zero_one_loss(theta: np.ndarray, z) -> float:
-    x, y = z
-    margin = float(y) * float(np.asarray(x, dtype=float) @ theta)
-    return 1.0 if margin <= 0 else 0.0
+def _zero_one_loss(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
+    margins = z[:, -1] * (z[:, :-1] @ theta)
+    return (margins <= 0).astype(float)
 
 
 class ExponentialMechanismLearner(Mechanism):
@@ -136,12 +135,12 @@ class ExponentialMechanismLearner(Mechanism):
         return self.estimator.temperature
 
     @staticmethod
-    def _as_sample(x, y) -> list:
+    def _as_sample(x, y) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y)
         if x.ndim != 2 or y.shape != (x.shape[0],):
             raise ValidationError("x must be 2-D with one label per row in y")
-        return [(tuple(x[i]), int(y[i])) for i in range(x.shape[0])]
+        return np.column_stack([x, y])
 
     def release(self, dataset, random_state=None) -> np.ndarray:
         """``dataset`` is a pair ``(x, y)``; returns the sampled direction."""

@@ -103,9 +103,8 @@ class GibbsRidgeRegression(Mechanism):
         thetas = coefficient_grid(dimension, radius, points_per_axis)
 
         def loss(theta, z):
-            x, y = z
-            residual = float(np.asarray(theta) @ np.asarray(x)) - float(y)
-            return min(residual * residual, self.loss_ceiling)
+            residual = z[:, :-1] @ np.asarray(theta) - z[:, -1]
+            return np.minimum(residual * residual, self.loss_ceiling)
 
         grid = PredictorGrid(thetas, loss, loss_bounds=(0.0, self.loss_ceiling))
         self.estimator = GibbsEstimator.from_privacy(
@@ -119,8 +118,8 @@ class GibbsRidgeRegression(Mechanism):
         return self.estimator.temperature
 
     @staticmethod
-    def _as_sample(x: np.ndarray, y: np.ndarray) -> list:
-        return [(tuple(x[i]), float(y[i])) for i in range(x.shape[0])]
+    def _as_sample(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.column_stack([x, y])
 
     def release(self, dataset, random_state=None) -> np.ndarray:
         """``dataset`` is a pair ``(x, y)``; returns the sampled θ."""

@@ -70,7 +70,7 @@ class TestSection3Comparison:
         x, y = task.sample(400, random_state=1)
         grid = PredictorGrid(
             np.linspace(-2.0, 2.0, 41),
-            lambda t, z: float(task.zero_one_loss(t, [z[0]], [z[1]])[0]),
+            lambda t, z: task.zero_one_loss(t, z[:, 0], z[:, 1]),
             loss_bounds=(0.0, 1.0),
         )
         sample = list(zip(x, y))

@@ -165,7 +165,7 @@ class TestNumericalEdges:
     def test_gibbs_with_identical_risks_is_exactly_prior(self):
         """Constant risk: the tilt must cancel exactly, leaving the prior
         (a regression guard against drift in the log-domain path)."""
-        grid = PredictorGrid([0.0, 0.5, 1.0], lambda t, z: 0.5)
+        grid = PredictorGrid([0.0, 0.5, 1.0], lambda t, z: np.full(len(z), 0.5))
         prior = DiscreteDistribution(grid.thetas, [0.2, 0.3, 0.5])
         gibbs = GibbsPosterior(grid, temperature=1e6, prior=prior)
         posterior = gibbs.posterior([1, 2, 3])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distributions import DiscreteDistribution
@@ -81,6 +81,62 @@ class TestBinaryKL:
         q1 = binary_kl_inverse(0.2, 0.01)
         q2 = binary_kl_inverse(0.2, 0.1)
         assert q1 < q2
+
+
+def reference_binary_kl(p, q):
+    """``binary_kl`` as the fully validated vector KL computes it."""
+    return kl_divergence(np.array([p, 1 - p]), np.array([q, 1 - q]))
+
+
+def reference_binary_kl_inverse(p, budget, tol=1e-12):
+    """The Seeger bisection over the fully validated vector KL."""
+    if budget == 0:
+        return p
+    lo, hi = p, 1.0
+    if reference_binary_kl(p, 1.0) <= budget:
+        return 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if reference_binary_kl(p, mid) <= budget:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+unit_interval = st.one_of(
+    st.sampled_from([0.0, 1.0, 1e-300, 1.0 - 1e-16]),
+    st.floats(0.0, 1.0, allow_nan=False),
+)
+
+
+class TestBinaryKLBitIdentity:
+    @given(unit_interval, unit_interval)
+    def test_binary_kl_matches_vector_kl(self, p, q):
+        assert binary_kl(p, q) == reference_binary_kl(p, q)
+
+    @settings(deadline=None)
+    @given(
+        unit_interval,
+        st.one_of(st.just(0.0), st.floats(0.0, 5.0, allow_nan=False)),
+    )
+    def test_inverse_matches_reference_bisection(self, p, budget):
+        assert binary_kl_inverse(p, budget) == reference_binary_kl_inverse(
+            p, budget
+        )
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [(np.nan, 0.5), (0.5, np.nan), (-0.1, 0.5), (0.5, 1.1), (1.0 + 1e-9, 0.5)],
+    )
+    def test_binary_kl_rejects_nan_and_out_of_range(self, p, q):
+        with pytest.raises(ValidationError):
+            binary_kl(p, q)
+
+    @pytest.mark.parametrize("p", [np.nan, -1e-9, 1.5])
+    def test_inverse_rejects_nan_and_out_of_range(self, p):
+        with pytest.raises(ValidationError):
+            binary_kl_inverse(p, 0.1)
 
 
 class TestOtherDivergences:

@@ -300,10 +300,10 @@ class TestExponentialMechanismLearner:
             2, epsilon=1.0, sample_size=2, resolution=8
         )
         universe = [
-            ((1.0, 0.0), 1),
-            ((-1.0, 0.0), -1),
-            ((0.0, 1.0), 1),
-            ((0.0, -1.0), -1),
+            (1.0, 0.0, 1),
+            (-1.0, 0.0, -1),
+            (0.0, 1.0, 1),
+            (0.0, -1.0, -1),
         ]
         auditor = ExactPrivacyAuditor(learner.estimator.output_distribution)
         report = auditor.audit(universe, n=2, claimed_epsilon=1.0)

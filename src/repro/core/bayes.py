@@ -142,14 +142,17 @@ class TruncatedBetaBernoulliPosterior(Mechanism):
         ) - beta_distribution.cdf(self.truncation, alpha + 1, beta)
         return float(weight * numerator / (high - low))
 
-    def posterior_density(self, data, theta) -> float:
-        """Truncated tempered posterior density at θ (exact, normalized)."""
-        theta = float(theta)
-        if not self.truncation <= theta <= 1.0 - self.truncation:
-            return 0.0
+    def posterior_density(self, data, theta):
+        """Truncated tempered posterior density at θ (exact, normalized);
+        elementwise for an array θ, and 0 outside the truncation."""
+        thetas = np.asarray(theta, dtype=float)
         alpha, beta = self.posterior_parameters(data)
         low, high = self._truncated_cdf_bounds(alpha, beta)
-        return float(beta_distribution.pdf(theta, alpha, beta) / (high - low))
+        inside = (self.truncation <= thetas) & (thetas <= 1.0 - self.truncation)
+        density = np.zeros(thetas.shape)
+        pdf = beta_distribution.pdf(thetas[inside], alpha, beta)
+        density[inside] = pdf / (high - low)
+        return float(density) if density.ndim == 0 else density
 
     def mean_squared_error(self, data, truth: float, *, n_samples: int = 1000,
                            random_state=None) -> float:

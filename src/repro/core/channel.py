@@ -21,8 +21,7 @@ import numpy as np
 from repro.distributions.discrete import DiscreteDistribution
 from repro.exceptions import ValidationError
 from repro.information.channel import DiscreteChannel
-from repro.information.divergences import max_divergence
-from repro.privacy.definitions import is_neighbour
+from repro.privacy.audit import ExactPrivacyAuditor
 
 
 class LearningChannel:
@@ -103,15 +102,10 @@ class LearningChannel:
         This is the measured left side of Theorem 4.1's inequality; the
         declared right side is ``2·λ·Δ(R̂)``.
         """
-        worst = 0.0
-        samples = self.samples
-        for a in samples:
-            law_a = self.channel.conditional(a)
-            for b in samples:
-                if not is_neighbour(a, b):
-                    continue
-                worst = max(worst, max_divergence(law_a, self.channel.conditional(b)))
-        return worst
+        auditor = ExactPrivacyAuditor(
+            lambda sample: self.channel.conditional(tuple(sample))
+        )
+        return auditor.audit(self.data_law.support, self.n).measured_epsilon
 
     def leakage_summary(self) -> dict:
         """The Figure-1 dashboard: all channel quantities in one dict."""

@@ -14,8 +14,8 @@ import numpy as np
 
 from repro.distributions.discrete import DiscreteDistribution
 from repro.exceptions import SupportMismatchError, ValidationError
+from repro.information.divergences import _max_divergence_rows
 from repro.information.mutual_information import mutual_information_from_joint
-from repro.utils.numerics import stable_log
 from repro.utils.validation import check_probability_vector
 
 
@@ -171,15 +171,9 @@ class DiscreteChannel:
 
         When the channel inputs are *all* datasets (so every pair of rows is
         a valid comparison) this is an upper bound on the privacy loss; the
-        privacy auditor restricts the maximum to neighbouring rows.
+        privacy auditor restricts the maximum to neighbouring rows. This
+        is the max divergence over every ordered pair of rows.
         """
-        log_matrix = stable_log(self._matrix)
-        worst = 0.0
-        for j in range(len(self._outputs)):
-            column = log_matrix[:, j]
-            finite = np.isfinite(column)
-            if finite.all():
-                worst = max(worst, float(column.max() - column.min()))
-            elif finite.any():
-                return float("inf")
-        return worst
+        left, right = np.divmod(np.arange(len(self._inputs) ** 2), len(self._inputs))
+        losses = _max_divergence_rows(self._matrix[left], self._matrix[right])
+        return max(0.0, float(losses.max()))

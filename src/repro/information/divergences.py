@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.distributions.discrete import DiscreteDistribution
 from repro.exceptions import ValidationError
-from repro.utils.numerics import stable_log, xlogy
 from repro.utils.validation import check_in_range, check_positive, check_probability_vector
 
 
@@ -30,11 +29,53 @@ def _pair(p_dist, q_dist) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > 0
-    if np.any(q[mask] == 0):
-        return float("inf")
-    return float((p[mask] * (np.log(p[mask]) - np.log(q[mask]))).sum())
+def _kept_row_sums(terms: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``terms[i][keep[i]].sum()`` for every row ``i``, bit for bit: numpy
+    sums a C-contiguous row pairwise, so zero-filling dropped entries would
+    regroup the kept ones. Rows are summed per distinct ``keep`` pattern."""
+    if keep.all():
+        return terms.sum(axis=-1)
+    if terms.ndim == 1:
+        return terms[keep].sum()
+    patterns, which = np.unique(keep, axis=0, return_inverse=True)
+    sums = np.empty(len(terms))
+    for index, pattern in enumerate(patterns):
+        rows = which.ravel() == index
+        sums[rows] = np.ascontiguousarray(terms[rows][:, pattern]).sum(axis=-1)
+    return sums
+
+
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise ``KL(p ‖ q)`` over the atoms with ``p > 0``; ``inf`` if p ⋪ q
+    (a kept atom with q = 0 has the term +inf, and no kept term is -inf)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _kept_row_sums(p * (np.log(p) - np.log(q)), p > 0)
+
+
+def _log_ratio_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-atom ``log p - log q``: -inf where p = 0, +inf where p > 0 = q."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0, np.log(p) - np.log(q), -np.inf)
+
+
+def _max_divergence_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise ``D_∞(p ‖ q) = max log(p_i / q_i)`` over atoms p_i > 0."""
+    return _log_ratio_rows(p, q).max(axis=-1)
+
+
+def _renyi_rows(p: np.ndarray, q: np.ndarray, alpha: float) -> np.ndarray:
+    """Row-wise Rényi divergence of order ``alpha > 0`` (α ≈ 1: KL; ∞: max)."""
+    if np.isinf(alpha):
+        return _max_divergence_rows(p, q)
+    if np.isclose(alpha, 1.0):
+        return _kl_rows(p, q)
+    keep = p > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_terms = np.where(keep, alpha * np.log(p) + (1 - alpha) * np.log(q), -np.inf)
+        peak = log_terms.max(axis=-1, keepdims=True)
+        totals = _kept_row_sums(np.exp(log_terms - peak), keep)
+        values = (peak[..., 0] + np.log(totals)) / (alpha - 1.0)
+    return np.where((keep & (q == 0)).any(axis=-1), np.inf, values)
 
 
 def _bernoulli(p: float) -> np.ndarray:
@@ -49,14 +90,14 @@ def _bernoulli(p: float) -> np.ndarray:
 
 def kl_divergence(p_dist, q_dist) -> float:
     """``KL(p ‖ q) = Σ p log(p/q)`` in nats; ``inf`` if p ⋪ q."""
-    return _kl(*_pair(p_dist, q_dist))
+    return float(_kl_rows(*_pair(p_dist, q_dist)))
 
 
 def binary_kl(p: float, q: float) -> float:
     """KL divergence between Bernoulli(p) and Bernoulli(q), ``kl(p‖q)``."""
     p = check_in_range(p, name="p", low=0.0, high=1.0)
     q = check_in_range(q, name="q", low=0.0, high=1.0)
-    return _kl(_bernoulli(p), _bernoulli(q))
+    return float(_kl_rows(_bernoulli(p), _bernoulli(q)))
 
 
 def binary_kl_inverse(p: float, budget: float, *, tol: float = 1e-12) -> float:
@@ -70,11 +111,11 @@ def binary_kl_inverse(p: float, budget: float, *, tol: float = 1e-12) -> float:
         return p
     lo, hi = p, 1.0
     p_pair = _bernoulli(p)
-    if _kl(p_pair, _bernoulli(1.0)) <= budget:
+    if _kl_rows(p_pair, _bernoulli(1.0)) <= budget:
         return 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _kl(p_pair, _bernoulli(mid)) <= budget:
+        if _kl_rows(p_pair, _bernoulli(mid)) <= budget:
             lo = mid
         else:
             hi = mid
@@ -98,18 +139,9 @@ def renyi_divergence(p_dist, q_dist, alpha: float) -> float:
     """Rényi divergence of order ``alpha`` (limits: α→1 gives KL, α→∞ max)."""
     p, q = _pair(p_dist, q_dist)
     alpha = float(alpha)
-    if np.isinf(alpha) and alpha > 0:
-        return max_divergence(p, q)
-    alpha = check_positive(alpha, name="alpha")
-    if np.isclose(alpha, 1.0):
-        return kl_divergence(p, q)
-    mask = p > 0
-    if np.any(q[mask] == 0):
-        return float("inf")
-    log_terms = alpha * np.log(p[mask]) + (1.0 - alpha) * np.log(q[mask])
-    peak = log_terms.max()
-    total = np.exp(log_terms - peak).sum()
-    return float((peak + np.log(total)) / (alpha - 1.0))
+    if alpha != np.inf:
+        alpha = check_positive(alpha, name="alpha")
+    return float(_renyi_rows(p, q, alpha))
 
 
 def max_divergence(p_dist, q_dist) -> float:
@@ -120,11 +152,7 @@ def max_divergence(p_dist, q_dist) -> float:
     neighbouring input pair — this is the quantity the exact privacy
     auditor computes.
     """
-    p, q = _pair(p_dist, q_dist)
-    mask = p > 0
-    if np.any(q[mask] == 0):
-        return float("inf")
-    return float(np.max(np.log(p[mask]) - np.log(q[mask])))
+    return float(_max_divergence_rows(*_pair(p_dist, q_dist)))
 
 
 def hockey_stick_divergence(p_dist, q_dist, epsilon: float) -> float:
@@ -172,21 +200,9 @@ def kl_decomposition(posteriors, weights, prior) -> dict:
         prior.require_same_support(post)
 
     stacked = np.stack([post.probabilities for post in posteriors])
-    marginal_probs = weights @ stacked
-    marginal = DiscreteDistribution(prior.support, marginal_probs)
-
-    expected_kl = float(
-        sum(
-            w * kl_divergence(post, prior)
-            for w, post in zip(weights, posteriors)
-        )
-    )
-    mutual_information = float(
-        sum(
-            w * kl_divergence(post, marginal)
-            for w, post in zip(weights, posteriors)
-        )
-    )
+    marginal = DiscreteDistribution(prior.support, weights @ stacked)
+    expected_kl = float(sum(weights * _kl_rows(stacked, prior.probabilities)))
+    mutual_information = float(sum(weights * _kl_rows(stacked, marginal.probabilities)))
     marginal_kl = kl_divergence(marginal, prior)
     return {
         "expected_kl": expected_kl,

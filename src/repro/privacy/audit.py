@@ -7,44 +7,65 @@ every neighbouring dataset pair on a finite universe and takes the worst
 max divergence. This *proves* Theorem 4.1's guarantee rather than sampling
 it. Black-box mechanisms are audited statistically, with certified
 Clopper–Pearson bounds, by :func:`repro.testing.audit_mechanism`.
+
+The auditor, ``measure_rdp`` and ``LearningChannel.exact_privacy_loss``
+all reduce the one enumeration that :func:`_neighbour_laws` builds.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.distributions.discrete import DiscreteDistribution
 from repro.exceptions import ValidationError
-from repro.information.divergences import max_divergence
+from repro.information.divergences import _log_ratio_rows
 from repro.privacy.definitions import all_neighbour_pairs
+
+
+def _neighbour_laws(output_distribution: Callable, universe: Sequence, n: int):
+    """Every size-``n`` dataset's exact output law, stacked once.
+
+    Returns ``(datasets, support, laws, left, right)``: the datasets in
+    ``itertools.product`` order, their laws' shared support, the laws'
+    probability vectors as rows (as they are, not renormalised), and the
+    pairs of :func:`~repro.privacy.all_neighbour_pairs` as row indices.
+    """
+    universe = list(universe)
+    pairs = list(all_neighbour_pairs(universe, n))
+    datasets = list(itertools.product(universe, repeat=n))
+    outputs = [output_distribution(list(dataset)) for dataset in datasets]
+    support = outputs[0].support
+    if any(law.support != support for law in outputs):
+        raise ValidationError("all output distributions must share one support")
+    laws = np.stack([law.probabilities for law in outputs])
+    row = {dataset: index for index, dataset in enumerate(datasets)}
+    indices = np.array([(row[a], row[b]) for a, b in pairs], dtype=np.intp)
+    left, right = indices.reshape(-1, 2).T
+    return datasets, support, laws, left, right
 
 
 @dataclass
 class AuditReport:
-    """Result of a privacy audit.
+    """Result of an exact privacy audit.
 
     Attributes
     ----------
     measured_epsilon:
-        The measured worst-case privacy loss (exact, or an estimate for
-        sampled audits).
+        The exact worst-case privacy loss over every neighbour pair.
     claimed_epsilon:
         The mechanism's nominal guarantee, if one was supplied.
     satisfied:
         ``measured <= claimed`` (None when no claim was supplied).
     worst_pair:
-        The neighbouring dataset pair achieving the measured loss.
+        The first neighbour pair achieving a positive measured loss, or None.
     worst_output:
         The output atom achieving it.
     pairs_checked:
         Number of ordered neighbour pairs examined.
-    exact:
-        True for enumeration-based audits, False for sampled estimates.
-    details:
-        Auditor-specific extras (e.g. per-pair losses, sample counts).
     """
 
     measured_epsilon: float
@@ -53,11 +74,8 @@ class AuditReport:
     worst_pair: tuple | None
     worst_output: object | None
     pairs_checked: int
-    exact: bool
-    details: dict = field(default_factory=dict)
 
     def __str__(self) -> str:
-        kind = "exact" if self.exact else "sampled"
         claim = (
             f" (claimed {self.claimed_epsilon:.6g}: "
             f"{'OK' if self.satisfied else 'VIOLATED'})"
@@ -65,7 +83,7 @@ class AuditReport:
             else ""
         )
         return (
-            f"AuditReport[{kind}]: measured ε = "
+            f"AuditReport[exact]: measured ε = "
             f"{self.measured_epsilon:.6g}{claim} over {self.pairs_checked} pairs"
         )
 
@@ -94,46 +112,22 @@ class ExactPrivacyAuditor:
         tolerance: float = 1e-9,
     ) -> AuditReport:
         """Exact worst-case ε over all neighbouring size-``n`` datasets."""
-        worst = 0.0
-        worst_pair = None
-        worst_output = None
-        pairs = 0
-        cache: dict[tuple, DiscreteDistribution] = {}
-
-        def law(dataset: tuple) -> DiscreteDistribution:
-            if dataset not in cache:
-                cache[dataset] = self.output_distribution(list(dataset))
-            return cache[dataset]
-
-        reference_support = None
-        for dataset, neighbour in all_neighbour_pairs(universe, n):
-            pairs += 1
-            p = law(dataset)
-            q = law(neighbour)
-            if reference_support is None:
-                reference_support = p.support
-            if p.support != reference_support or q.support != reference_support:
-                raise ValidationError(
-                    "all output distributions must share one support"
-                )
-            loss = max_divergence(p, q)
-            if loss > worst:
-                worst = loss
-                worst_pair = (dataset, neighbour)
-                ratios = p.log_probabilities - q.log_probabilities
-                finite = np.where(p.probabilities > 0, ratios, -np.inf)
-                worst_output = p.support[int(np.argmax(finite))]
-
-        satisfied = None
-        if claimed_epsilon is not None:
-            satisfied = worst <= claimed_epsilon + tolerance
-        return AuditReport(
-            measured_epsilon=float(worst),
-            claimed_epsilon=claimed_epsilon,
-            satisfied=satisfied,
-            worst_pair=worst_pair,
-            worst_output=worst_output,
-            pairs_checked=pairs,
-            exact=True,
+        datasets, support, laws, left, right = _neighbour_laws(
+            self.output_distribution, universe, n
         )
-
+        ratios = _log_ratio_rows(laws[left], laws[right])
+        losses = ratios.max(axis=-1)
+        worst, worst_pair, worst_output = 0.0, None, None
+        if losses.max(initial=0.0) > 0:
+            index = int(np.argmax(losses))
+            worst = float(losses[index])
+            worst_pair = (datasets[left[index]], datasets[right[index]])
+            worst_output = support[int(np.argmax(ratios[index]))]
+        satisfied = (
+            None if claimed_epsilon is None else worst <= claimed_epsilon + tolerance
+        )
+        return AuditReport(
+            measured_epsilon=worst, claimed_epsilon=claimed_epsilon,
+            satisfied=satisfied, worst_pair=worst_pair,
+            worst_output=worst_output, pairs_checked=len(left),
+        )

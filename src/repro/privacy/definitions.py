@@ -47,13 +47,15 @@ def all_neighbour_pairs(
     Parameters
     ----------
     universe:
-        The record domain.
+        The record domain; records must be distinct.
     n:
         Dataset size.
     """
     universe = list(universe)
     if not universe:
         raise ValidationError("universe must not be empty")
+    if any(a == b for i, a in enumerate(universe) for b in universe[:i]):
+        raise ValidationError("universe contains duplicate records")
     if n < 1:
         raise ValidationError("n must be >= 1")
     for dataset in itertools.product(universe, repeat=n):

@@ -25,9 +25,9 @@ import numpy as np
 
 from repro.distributions.discrete import DiscreteDistribution
 from repro.exceptions import ValidationError
-from repro.information.divergences import renyi_divergence
+from repro.information.divergences import _renyi_rows
 from repro.mechanisms.base import PrivacySpec
-from repro.privacy.definitions import all_neighbour_pairs
+from repro.privacy.audit import _neighbour_laws
 from repro.utils.validation import check_in_range, check_positive
 
 
@@ -220,14 +220,6 @@ def measure_rdp(
         Rényi order (> 1).
     """
     alpha = _check_alpha(alpha)
-    worst = 0.0
-    cache: dict[tuple, DiscreteDistribution] = {}
-
-    def law(dataset: tuple) -> DiscreteDistribution:
-        if dataset not in cache:
-            cache[dataset] = output_distribution(list(dataset))
-        return cache[dataset]
-
-    for a, b in all_neighbour_pairs(universe, n):
-        worst = max(worst, renyi_divergence(law(a), law(b), alpha))
-    return worst
+    _, _, laws, left, right = _neighbour_laws(output_distribution, universe, n)
+    losses = _renyi_rows(laws[left], laws[right], alpha)
+    return max(0.0, float(losses.max(initial=-np.inf)))

@@ -73,7 +73,7 @@ class TestPosterior:
     def test_density_normalized(self, data):
         model = TruncatedBetaBernoulliPosterior(epsilon=2.0, truncation=0.1)
         thetas = np.linspace(0.1, 0.9, 100_001)
-        densities = np.array([model.posterior_density(data, t) for t in thetas])
+        densities = model.posterior_density(data, thetas)
         assert np.trapezoid(densities, thetas) == pytest.approx(1.0, abs=1e-3)
 
     def test_density_zero_outside_truncation(self, data):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import GibbsPosterior, LearningChannel
+from repro.core import GibbsEstimator, GibbsPosterior, LearningChannel
 from repro.distributions import DiscreteDistribution
 from repro.exceptions import ValidationError
 from repro.learning import BernoulliTask, PredictorGrid
@@ -138,3 +138,26 @@ class TestPrivacyAndRisk:
             "exact_privacy_loss",
         }
         assert 0.0 <= summary["leakage_fraction"] <= 1.0
+
+
+class TestMutualInformationCrossCheck:
+    """ε-DP bounds the information the channel can carry.
+
+    Per record, ``I(Zᵢ; θ | Z₋ᵢ)`` is an average of ``KL`` between output
+    laws on neighbouring samples, and ε-DP caps that KL at
+    ``min(ε, ε·(e^ε − 1))`` (max divergence, and the Dwork–Rothblum–Vadhan
+    bound). With independent records the chain rule sums n such terms
+    (Cuff–Yu, *Differential Privacy as a Mutual Information Constraint*).
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("epsilon", [0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0])
+    def test_mi_bounded_by_measured_epsilon(self, epsilon, n):
+        task = BernoulliTask(p=0.7)
+        grid = PredictorGrid.linspace(task.loss, 0.0, 1.0, 5)
+        law = DiscreteDistribution([0, 1], [1 - 0.7, 0.7])
+        estimator = GibbsEstimator.from_privacy(grid, epsilon, expected_sample_size=n)
+        channel = LearningChannel(law, n=n, posterior_map=estimator.gibbs.posterior)
+        measured = channel.exact_privacy_loss()
+        bound = n * min(measured, measured * np.expm1(measured))
+        assert channel.mutual_information() <= bound

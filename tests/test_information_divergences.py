@@ -162,6 +162,18 @@ class TestOtherDivergences:
             max_divergence(p, q)
         )
 
+    def test_renyi_limits_are_bit_identical(self):
+        """α = 1 and α = ∞ run the KL and max-divergence kernels on the same
+        vectors, so the limits hold with ``==`` (also on zero-mass atoms)."""
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            weights = rng.random((2, 9)) ** 3
+            weights[rng.random((2, 9)) < 0.2] = 0.0
+            weights[:, 0] += 0.1
+            p, q = (DiscreteDistribution(range(9), w / w.sum()) for w in weights)
+            assert renyi_divergence(p, q, 1.0) == kl_divergence(p, q)
+            assert renyi_divergence(p, q, np.inf) == max_divergence(p, q)
+
     def test_renyi_monotone_in_alpha(self):
         p, q = [0.3, 0.7], [0.6, 0.4]
         values = [renyi_divergence(p, q, a) for a in [0.5, 1.0, 2.0, 10.0]]

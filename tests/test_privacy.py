@@ -1,14 +1,18 @@
 """Unit tests for privacy definitions and auditors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.distributions import DiscreteDistribution
+from repro.exceptions import ValidationError
 from repro.mechanisms import ExponentialMechanism, RandomizedResponse
 from repro.privacy import (
     ExactPrivacyAuditor,
     all_neighbour_pairs,
     is_neighbour,
+    measure_rdp,
     satisfies_approximate_dp,
     satisfies_pure_dp,
 )
@@ -35,6 +39,16 @@ class TestNeighbourRelation:
     def test_all_pairs_are_neighbours(self):
         for a, b in all_neighbour_pairs([0, 1], n=3):
             assert is_neighbour(a, b)
+
+    def test_duplicate_records_rejected(self):
+        """A repeated record would pair a dataset with itself as its own
+        'neighbour' and double-count the real pairs."""
+        with pytest.raises(ValidationError, match="duplicate"):
+            list(all_neighbour_pairs([0, 0, 1], 1))
+        with pytest.raises(ValidationError, match="duplicate"):
+            ExactPrivacyAuditor(
+                lambda d: DiscreteDistribution([0, 1], [0.5, 0.5])
+            ).audit([0, 0, 1], 1)
 
 
 class TestDPPredicates:
@@ -73,7 +87,6 @@ class TestExactAuditor:
 
         auditor = ExactPrivacyAuditor(output_law)
         report = auditor.audit([0, 1], n=1, claimed_epsilon=epsilon)
-        assert report.exact
         assert report.satisfied
         assert report.measured_epsilon == pytest.approx(epsilon)
 
@@ -119,3 +132,27 @@ class TestExactAuditor:
         report = auditor.audit([0, 1], n=1, claimed_epsilon=1.0)
         assert "exact" in str(report)
         assert "OK" in str(report)
+
+    def test_zero_mass_outputs_raise_no_warning(self):
+        """An output atom with zero mass under both laws is skipped by
+        the audit and by the Rényi measurement, without a RuntimeWarning."""
+
+        def output_law(dataset):
+            probs = [0.25, 0.75, 0.0] if dataset[0] else [0.5, 0.5, 0.0]
+            return DiscreteDistribution(["a", "b", "c"], probs)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = ExactPrivacyAuditor(output_law).audit([0, 1], n=1)
+            rho = measure_rdp(output_law, [0, 1], 1, alpha=2.0)
+        assert report.measured_epsilon == pytest.approx(np.log(2.0))
+        assert report.worst_output == "a"
+        assert 0.0 < rho < report.measured_epsilon
+
+    def test_support_mismatch_rejected(self):
+        def output_law(dataset):
+            support = [0, 1] if dataset[0] else [1, 0]
+            return DiscreteDistribution(support, [0.5, 0.5])
+
+        with pytest.raises(ValidationError, match="share one support"):
+            ExactPrivacyAuditor(output_law).audit([0, 1], n=1)

@@ -227,19 +227,19 @@ class BatchedLangevinSampler:
     single-chain runs sharing the generator, which is what lets
     ``Mechanism.release_many`` keep its stream-equivalence contract on
     top of this sampler. The step arithmetic is elementwise/`einsum`-free
-    per row (callables permitting), so row ``i`` of a batch equals the
+    per row (the target permitting), so row ``i`` of a batch equals the
     lone row of a one-chain run bit for bit.
 
     Parameters
     ----------
-    log_density:
-        Vectorized unnormalized log-density: maps ``(m, d)`` states to
-        ``(m,)`` values. Row ``i`` of the result must depend only on row
+    log_density_and_grad:
+        Vectorized target: maps ``(m, d)`` states to the pair
+        ``(log_density, grad)`` of ``(m,)`` unnormalized log-densities and
+        ``(m, d)`` gradients. One callable, because MALA needs both at
+        every proposal and they usually share work (the margins of a
+        margin loss). Row ``i`` of each output must depend only on row
         ``i`` of the input (no cross-chain reductions), or batched and
         sequential runs will diverge.
-    grad_log_density:
-        Vectorized gradient: maps ``(m, d)`` states to ``(m, d)``
-        gradients, same row-independence requirement.
     dimension:
         Dimension ``d`` of the state space.
     step_size:
@@ -249,33 +249,43 @@ class BatchedLangevinSampler:
 
     def __init__(
         self,
-        log_density: Callable[[np.ndarray], np.ndarray],
-        grad_log_density: Callable[[np.ndarray], np.ndarray],
+        log_density_and_grad: Callable[
+            [np.ndarray], tuple[np.ndarray, np.ndarray]
+        ],
         dimension: int,
         step_size: float = 0.1,
     ) -> None:
         if dimension < 1:
             raise ValidationError("dimension must be >= 1")
-        self.log_density = log_density
-        self.grad_log_density = grad_log_density
+        self.log_density_and_grad = log_density_and_grad
         self.dimension = int(dimension)
         self.step_size = check_positive(step_size, name="step_size")
+
+    def _evaluate(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The target's log-densities and gradients at ``states``, as floats."""
+        log_density, grad = self.log_density_and_grad(states)
+        return (
+            np.asarray(log_density, dtype=float),
+            np.asarray(grad, dtype=float),
+        )
 
     def _draw_blocks(
         self, n_chains: int, steps: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-chain RNG blocks in sequential-run order.
 
-        The loop exists *only* to pin the stream layout; the O(steps·d)
-        work per chain is a bulk generator fill, so this is cheap even
-        for thousands of chains.
+        The loop exists *only* to pin the stream layout: each chain fills
+        its rows of the two blocks in place (``random(out=)`` consumes
+        the stream exactly like ``uniform(size=)``), and one ``log``
+        over the whole uniform block follows the loop.
         """
         noise = np.empty((n_chains, steps, self.dimension))
-        log_uniforms = np.empty((n_chains, steps))
+        uniforms = np.empty((n_chains, steps))
         for chain in range(n_chains):
-            noise[chain] = rng.standard_normal((steps, self.dimension))
-            log_uniforms[chain] = _log_uniform(rng, size=steps)
-        return noise, log_uniforms
+            rng.standard_normal(out=noise[chain])
+            rng.random(out=uniforms[chain])
+        with np.errstate(divide="ignore"):
+            return noise, np.log(uniforms, out=uniforms)
 
     def run(
         self,
@@ -316,19 +326,20 @@ class BatchedLangevinSampler:
             )
 
         state = np.repeat(start[None, :], n_chains, axis=0)
-        state_log_density = np.asarray(self.log_density(state), dtype=float)
+        state_log_density, state_grad = self._evaluate(state)
         if state_log_density.shape != (n_chains,):
             raise ValidationError(
-                "log_density must map (m, d) states to (m,) values"
+                "log_density_and_grad must map (m, d) states to (m,) "
+                "log-densities"
             )
         if not np.all(np.isfinite(state_log_density)):
             raise ValidationError(
                 "log_density must be finite at the initial state"
             )
-        state_grad = np.asarray(self.grad_log_density(state), dtype=float)
         if state_grad.shape != state.shape:
             raise ValidationError(
-                "grad_log_density must map (m, d) states to (m, d) gradients"
+                "log_density_and_grad must map (m, d) states to (m, d) "
+                "gradients"
             )
 
         noise, log_uniforms = self._draw_blocks(n_chains, steps, rng)
@@ -340,12 +351,7 @@ class BatchedLangevinSampler:
         for step in range(steps):
             drift = state + half_h2 * state_grad
             proposal = drift + h * noise[:, step, :]
-            proposal_log_density = np.asarray(
-                self.log_density(proposal), dtype=float
-            )
-            proposal_grad = np.asarray(
-                self.grad_log_density(proposal), dtype=float
-            )
+            proposal_log_density, proposal_grad = self._evaluate(proposal)
             reverse_drift = proposal + half_h2 * proposal_grad
             with np.errstate(invalid="ignore"):
                 log_forward = -inv_2h2 * ((proposal - drift) ** 2).sum(axis=1)

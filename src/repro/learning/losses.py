@@ -36,6 +36,14 @@ class MarginLoss(abc.ABC):
     def derivative(self, margins) -> np.ndarray:
         """dl/du at each margin (a subgradient where nondifferentiable)."""
 
+    def value_and_derivative(self, margins) -> tuple[np.ndarray, np.ndarray]:
+        """``(value, derivative)`` at each margin, for callers that need both.
+
+        Bit-identical to the two separate calls; losses whose derivative
+        reuses work from the value override it to do that work once.
+        """
+        return self.value(margins), self.derivative(margins)
+
     def second_derivative(self, margins) -> np.ndarray:
         """d²l/du²; zero by default (piecewise-linear losses)."""
         return np.zeros_like(np.asarray(margins, dtype=float))
@@ -80,7 +88,8 @@ class LogisticLoss(MarginLoss):
     def value(self, margins) -> np.ndarray:
         u = np.asarray(margins, dtype=float)
         # log(1 + e^{-u}) computed stably for both signs of u.
-        return np.where(u > 0, np.log1p(np.exp(-np.abs(u))), -u + np.log1p(np.exp(-np.abs(u))))
+        t = np.log1p(np.exp(-np.abs(u)))
+        return np.where(u > 0, t, -u + t)
 
     def derivative(self, margins) -> np.ndarray:
         u = np.asarray(margins, dtype=float)
@@ -224,9 +233,15 @@ class TruncatedLoss(MarginLoss):
         return np.clip(self.base.value(margins), 0.0, self.ceiling)
 
     def derivative(self, margins) -> np.ndarray:
-        raw = self.base.value(margins)
+        return self.value_and_derivative(margins)[1]
+
+    def value_and_derivative(self, margins) -> tuple[np.ndarray, np.ndarray]:
+        """One ``base.value`` pass serves the clip and the derivative mask:
+        the clipped value reaches the ceiling exactly where the raw one
+        does."""
+        value = self.value(margins)
         grad = self.base.derivative(margins)
-        return np.where(raw >= self.ceiling, 0.0, grad)
+        return value, np.where(value >= self.ceiling, 0.0, grad)
 
     @property
     def lipschitz_constant(self) -> float:

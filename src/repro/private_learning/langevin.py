@@ -131,9 +131,10 @@ class RegularizedExponentialMechanism(Mechanism):
     def _posterior_sampler(self, x, y) -> BatchedLangevinSampler:
         """Build the batched MALA sampler targeting this dataset's posterior.
 
-        The returned sampler's closures map ``(m, d)`` states row-wise
+        The returned sampler's target maps ``(m, d)`` states row-wise
         (``einsum`` contractions only — no BLAS matmul — so row ``i`` of a
-        batch is bit-identical to a one-chain evaluation).
+        batch is bit-identical to a one-chain evaluation) and computes the
+        margins once for both the log-density and its gradient.
         """
         x, y = _check_classification_data(x, y)
         norms = np.linalg.norm(x, axis=1)
@@ -148,19 +149,16 @@ class RegularizedExponentialMechanism(Mechanism):
         loss = self.loss
         regularization = self.regularization
 
-        def log_density(theta: np.ndarray) -> np.ndarray:
+        def log_density_and_grad(theta: np.ndarray):
             margins = np.einsum("md,nd->mn", theta, z)
-            risks = loss.value(margins).mean(axis=1)
+            values, weights = loss.value_and_derivative(margins)
             squared_norms = (theta * theta).sum(axis=1)
-            return -temperature * (
-                risks + 0.5 * regularization * squared_norms
+            log_density = -temperature * (
+                values.mean(axis=1) + 0.5 * regularization * squared_norms
             )
-
-        def grad_log_density(theta: np.ndarray) -> np.ndarray:
-            margins = np.einsum("md,nd->mn", theta, z)
-            weights = loss.derivative(margins)
             risk_grad = np.einsum("mn,nd->md", weights, z) / n
-            return -temperature * (risk_grad + regularization * theta)
+            grad = -temperature * (risk_grad + regularization * theta)
+            return log_density, grad
 
         step_size = (
             self._default_step_size(temperature, d)
@@ -168,7 +166,7 @@ class RegularizedExponentialMechanism(Mechanism):
             else self.step_size
         )
         return BatchedLangevinSampler(
-            log_density, grad_log_density, d, step_size=step_size
+            log_density_and_grad, d, step_size=step_size
         )
 
     def _sample_posterior(self, dataset, n_chains, rng) -> LangevinResult:

@@ -185,8 +185,7 @@ class TestBatchedLangevinSampler:
     @staticmethod
     def _standard_normal(dimension):
         return BatchedLangevinSampler(
-            lambda theta: -0.5 * (theta * theta).sum(axis=1),
-            lambda theta: -theta,
+            lambda theta: (-0.5 * (theta * theta).sum(axis=1), -theta),
             dimension,
             step_size=0.9,
         )
@@ -215,8 +214,7 @@ class TestBatchedLangevinSampler:
     def test_shifted_target_mean(self):
         mu = np.array([1.5, -2.0])
         sampler = BatchedLangevinSampler(
-            lambda theta: -0.5 * ((theta - mu) ** 2).sum(axis=1),
-            lambda theta: mu - theta,
+            lambda theta: (-0.5 * ((theta - mu) ** 2).sum(axis=1), mu - theta),
             2,
             step_size=0.9,
         )
@@ -226,8 +224,10 @@ class TestBatchedLangevinSampler:
     def test_extreme_temperature_warning_free(self):
         temperature = 1e8
         sampler = BatchedLangevinSampler(
-            lambda theta: -temperature * (theta * theta).sum(axis=1),
-            lambda theta: -2.0 * temperature * theta,
+            lambda theta: (
+                -temperature * (theta * theta).sum(axis=1),
+                -2.0 * temperature * theta,
+            ),
             2,
             step_size=1e-4,
         )
@@ -255,8 +255,7 @@ class TestBatchedLangevinSampler:
 
     def test_rejects_nonfinite_initial_density(self):
         sampler = BatchedLangevinSampler(
-            lambda theta: np.full(theta.shape[0], -np.inf),
-            lambda theta: -theta,
+            lambda theta: (np.full(theta.shape[0], -np.inf), -theta),
             2,
         )
         with pytest.raises(ValidationError):
@@ -264,16 +263,14 @@ class TestBatchedLangevinSampler:
 
     def test_rejects_misshapen_callables(self):
         scalar_density = BatchedLangevinSampler(
-            lambda theta: -0.5 * float((theta * theta).sum()),
-            lambda theta: -theta,
+            lambda theta: (-0.5 * float((theta * theta).sum()), -theta),
             2,
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="log-densities"):
             scalar_density.run(3, random_state=0)
         bad_grad = BatchedLangevinSampler(
-            lambda theta: -0.5 * (theta * theta).sum(axis=1),
-            lambda theta: -theta[:, :1],
+            lambda theta: (-0.5 * (theta * theta).sum(axis=1), -theta[:, :1]),
             2,
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="gradients"):
             bad_grad.run(3, random_state=0)

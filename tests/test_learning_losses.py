@@ -158,3 +158,64 @@ class TestTruncatedLoss:
         loss = TruncatedLoss(LogisticLoss(), ceiling=2.0)
         value = loss.value([u])[0]
         assert 0.0 <= value <= 2.0
+
+
+# Margins with the edge cases of the clip and the stable logistic form:
+# huge, infinite and NaN margins, and the exact hinge kinks.
+_EDGE_MARGINS = np.array(
+    [-np.inf, -1e308, -750.0, -36.0, -1.0, -0.0, 0.0, 0.5, 1.0, 1.5, 36.0,
+     750.0, 1e308, np.inf, np.nan]
+)
+
+
+class TestValueAndDerivative:
+    """``value_and_derivative`` is one pass for the MALA target and must
+    equal the separate ``value`` and ``derivative`` bit for bit."""
+
+    @pytest.mark.parametrize(
+        "loss",
+        [
+            LogisticLoss(),
+            HingeLoss(),
+            HuberHingeLoss(0.5),
+            TruncatedLoss(LogisticLoss(), ceiling=0.5),
+            TruncatedLoss(LogisticLoss(), ceiling=1.0),
+            TruncatedLoss(HingeLoss(), ceiling=1.0),
+            TruncatedLoss(HuberHingeLoss(0.25), ceiling=2.0),
+        ],
+        ids=repr,
+    )
+    def test_equals_separate_calls(self, loss):
+        rng = np.random.default_rng(12)
+        u = np.concatenate(
+            [_EDGE_MARGINS, rng.normal(scale=4.0, size=(2_000,))]
+        ).reshape(-1, 5)
+        with np.errstate(invalid="ignore", over="ignore"):
+            value, derivative = loss.value_and_derivative(u)
+            np.testing.assert_array_equal(value, loss.value(u))
+            np.testing.assert_array_equal(derivative, loss.derivative(u))
+
+    @pytest.mark.parametrize("ceiling", [0.5, 1.0, np.log(2.0), 3.0])
+    def test_truncated_mask_equals_raw_base_mask(self, ceiling):
+        # The mask reads the clipped value; it must zero exactly where the
+        # raw base value reaches the ceiling.
+        loss = TruncatedLoss(LogisticLoss(), ceiling=ceiling)
+        u = np.concatenate([_EDGE_MARGINS, np.linspace(-5.0, 5.0, 4_001)])
+        with np.errstate(invalid="ignore", over="ignore"):
+            raw = loss.base.value(u)
+            expected = np.where(
+                raw >= ceiling, 0.0, loss.base.derivative(u)
+            )
+            np.testing.assert_array_equal(
+                loss.value_and_derivative(u)[1], expected
+            )
+
+    def test_logistic_value_equals_two_pass_form(self):
+        u = np.concatenate([_EDGE_MARGINS, np.linspace(-40.0, 40.0, 8_001)])
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.where(
+                u > 0,
+                np.log1p(np.exp(-np.abs(u))),
+                -u + np.log1p(np.exp(-np.abs(u))),
+            )
+            np.testing.assert_array_equal(LogisticLoss().value(u), expected)

@@ -252,3 +252,132 @@ def test_privatize_many_bit_identical_to_serial(name):
     for got, expected in zip(batch, serial):
         np.testing.assert_array_equal(got, expected)
     assert batch_rng.uniform() == serial_rng.uniform()
+
+
+def _best_of_interleaved(first, second, repeats=7):
+    """Best times of two callables timed in alternation, so a machine
+    that slows down for a while slows both sides of a ratio alike."""
+    best_first = best_second = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        first()
+        best_first = min(best_first, time.perf_counter() - start)
+        start = time.perf_counter()
+        second()
+        best_second = min(best_second, time.perf_counter() - start)
+    return best_first, best_second
+
+
+# ``SparseVector.release_many`` lands about 12-14x ahead of the serial
+# loop at the audit shape; the floor sits above half of that, so a kernel
+# made 2x slower fails it.
+MIN_SPARSE_VECTOR_SPEEDUP = 8.0
+
+
+def test_sparse_vector_release_many_is_at_least_8x_faster(benchmark):
+    """``SparseVector.release_many`` walks one block of Laplace draws with
+    each query evaluated once, where the serial loop restarts the
+    mechanism and re-evaluates every query per release. Timed at the
+    ``sparse-vector`` audit shape: two queries, one positive, 12,000
+    releases."""
+    from repro.testing import build_audit
+
+    prepared = build_audit("sparse-vector")
+    mechanism, dataset = prepared.mechanism, prepared.pair.a
+    rng = np.random.default_rng(0)
+
+    def batch():
+        mechanism.release_many(dataset, AUDIT_DRAWS, random_state=rng)
+
+    def serial():
+        for _ in range(SERIAL_DRAWS):
+            mechanism.release(dataset, random_state=rng)
+
+    benchmark.pedantic(batch, rounds=3, iterations=1)
+    batch_seconds, serial_seconds = _best_of_interleaved(batch, serial)
+    serial_seconds *= AUDIT_DRAWS / SERIAL_DRAWS
+
+    speedup = serial_seconds / batch_seconds
+    assert speedup >= MIN_SPARSE_VECTOR_SPEEDUP, (
+        f"sparse-vector: batch {batch_seconds * 1e3:.2f}ms vs projected "
+        f"serial {serial_seconds * 1e3:.1f}ms for {AUDIT_DRAWS} releases — "
+        f"only {speedup:.1f}x, need >= {MIN_SPARSE_VECTOR_SPEEDUP}x"
+    )
+
+
+# The fused MALA target beats the two-callable form it replaced by about
+# 1.3x at the audit shape (one margin contraction and one base-loss pass
+# fewer per proposal); the floor is 80% of that, so a target made 2x
+# slower fails it.
+MIN_FUSED_SPEEDUP = 1.05
+
+
+def _two_callable_target(mechanism, x, y):
+    """The separate log-density and gradient the fused target replaced:
+    each recomputes the margins, and the truncated derivative re-runs the
+    base loss to find the clipped region."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.shape[0]
+    temperature = mechanism.temperature_for(n) * mechanism._temperature_scale
+    z = y[:, None] * x
+    loss = mechanism.loss
+    regularization = mechanism.regularization
+
+    def log_density(theta):
+        margins = np.einsum("md,nd->mn", theta, z)
+        risks = loss.value(margins).mean(axis=1)
+        squared_norms = (theta * theta).sum(axis=1)
+        return -temperature * (risks + 0.5 * regularization * squared_norms)
+
+    def grad_log_density(theta):
+        margins = np.einsum("md,nd->mn", theta, z)
+        raw = loss.base.value(margins)
+        weights = np.where(
+            raw >= loss.ceiling, 0.0, loss.base.derivative(margins)
+        )
+        risk_grad = np.einsum("mn,nd->md", weights, z) / n
+        return -temperature * (risk_grad + regularization * theta)
+
+    return log_density, grad_log_density
+
+
+def test_fused_langevin_target_beats_two_callables(benchmark):
+    """The ``langevin`` audit shape: 12,000 chains at d = 2 over 3 records.
+    The fused target must equal the two-callable reference bit for bit
+    and beat it by ``MIN_FUSED_SPEEDUP``."""
+    from repro.testing import build_audit
+
+    prepared = build_audit("langevin")
+    mechanism = prepared.mechanism
+    x, y = prepared.pair.a
+    fused = mechanism._posterior_sampler(x, y).log_density_and_grad
+    log_density, grad_log_density = _two_callable_target(mechanism, x, y)
+    theta = np.random.default_rng(4).normal(scale=0.5, size=(AUDIT_DRAWS, 2))
+
+    value, grad = fused(theta)
+    assert np.array_equal(value, log_density(theta))
+    assert np.array_equal(grad, grad_log_density(theta))
+
+    evaluations = 20
+
+    def run_fused():
+        for _ in range(evaluations):
+            fused(theta)
+
+    def run_reference():
+        for _ in range(evaluations):
+            log_density(theta)
+            grad_log_density(theta)
+
+    benchmark.pedantic(run_fused, rounds=3, iterations=1)
+    fused_seconds, reference_seconds = _best_of_interleaved(
+        run_fused, run_reference
+    )
+
+    speedup = reference_seconds / fused_seconds
+    assert speedup >= MIN_FUSED_SPEEDUP, (
+        f"fused MALA target: {fused_seconds / evaluations * 1e3:.2f}ms vs "
+        f"two callables {reference_seconds / evaluations * 1e3:.2f}ms per "
+        f"evaluation — only {speedup:.2f}x, need >= {MIN_FUSED_SPEEDUP}x"
+    )

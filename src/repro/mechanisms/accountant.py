@@ -125,6 +125,8 @@ class PrivacyAccountant:
     def try_charge(self, spec: PrivacySpec, *, label: str = "release") -> bool:
         """Atomically record an expenditure if affordable; report success.
 
+        A spec is unaffordable when it exceeds the remaining budget or
+        when the composed total would not be a valid spec (δ past 1).
         Unlike :meth:`charge`, an unaffordable spec returns ``False``
         *silently* — no exception, no refusal event — for callers that
         treat an unaffordable release as an expected outcome rather than
@@ -142,8 +144,18 @@ class PrivacyAccountant:
         with self._lock:
             if not self.can_afford(spec):
                 return False
+            spent = spec
+            if self._spent is not None:
+                # Compose before recording anything: inside the budget's
+                # relative slack a total δ can still pass 1, which is no
+                # valid spec. Such a charge is refused with the ledger and
+                # the running total untouched, so the two never disagree.
+                try:
+                    spent = self._spent.compose(spec)
+                except ValidationError:
+                    return False
             self._ledger.append(LedgerEntry(label=label, spec=spec))
-            self._spent = spec if self._spent is None else self._spent.compose(spec)
+            self._spent = spent
         tracer = _trace.current()
         if tracer is not None:
             tracer.record(

@@ -205,7 +205,9 @@ class ReleaseService:
             raise ValidationError(f"n must be an integer >= 1, got {n!r}")
 
         spec = mechanism.privacy
-        cost = PrivacySpec(spec.epsilon * n, spec.delta * n)
+        # A single release costs exactly the mechanism's own spec (x * 1
+        # is x), already validated; only n > 1 needs a new one.
+        cost = spec if n == 1 else PrivacySpec(spec.epsilon * n, spec.delta * n)
         label = f"serve:{tenant_id}:{mechanism_id}"
         # Admission control: reserve before anything executes. Refusals
         # raise out of here with one ledger refusal event already emitted.

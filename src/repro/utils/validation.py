@@ -16,6 +16,8 @@ from repro.exceptions import NotNormalizedError, ValidationError
 #: Absolute tolerance used when checking that probabilities sum to one.
 PROBABILITY_ATOL = 1e-8
 
+_INF = float("inf")
+
 
 def check_random_state(seed) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for ``seed``.
@@ -71,6 +73,14 @@ def check_array(
 
 def check_positive(value, *, name: str = "value", strict: bool = True) -> float:
     """Validate that a scalar is (strictly) positive and finite."""
+    # Fast path for the common case, a valid ``float``: it skips the
+    # ``numbers.Real`` ABC check, the costliest step of admission. NaN
+    # fails both comparisons, so it (and every other type) takes the
+    # general path below.
+    if type(value) is float and (
+        0.0 < value < _INF if strict else 0.0 <= value < _INF
+    ):
+        return value
     if not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     value = float(value)
@@ -92,6 +102,12 @@ def check_in_range(
     inclusive: bool = True,
 ) -> float:
     """Validate that a scalar lies in ``[low, high]`` (or ``(low, high)``)."""
+    # Fast path for a ``float`` already in range; the same comparison as
+    # below, minus the ``numbers.Real`` ABC check and the ``float()`` call.
+    if type(value) is float and (
+        low <= value <= high if inclusive else low < value < high
+    ):
+        return value
     if not isinstance(value, numbers.Real):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
     value = float(value)

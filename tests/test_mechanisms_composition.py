@@ -131,6 +131,32 @@ class TestAccountant:
         assert acct.remaining_epsilon == pytest.approx(1.5)
 
 
+class TestChargePastUnitDelta:
+    """Regression: a charge inside the budget's relative slack whose
+    composed δ would pass 1 used to append its ledger entry and then fail
+    in ``compose``, leaving the ledger one entry ahead of ``spent``. It is
+    now refused with both untouched."""
+
+    def _accountant(self):
+        acct = PrivacyAccountant(budget=PrivacySpec(10.0, delta=1.0))
+        acct.charge(PrivacySpec(1.0, delta=0.5))
+        return acct, PrivacySpec(1.0, delta=0.5 + 1e-13)
+
+    def test_charge_is_refused_and_ledger_untouched(self):
+        acct, spec = self._accountant()
+        assert acct.can_afford(spec)  # within BUDGET_RTOL of the budget
+        with pytest.raises(PrivacyBudgetError):
+            acct.charge(spec)
+        assert len(acct.ledger()) == 1
+        assert acct.spent == PrivacySpec(1.0, delta=0.5)
+
+    def test_try_charge_returns_false(self):
+        acct, spec = self._accountant()
+        assert acct.try_charge(spec) is False
+        assert len(acct.ledger()) == 1
+        assert acct.spent == PrivacySpec(1.0, delta=0.5)
+
+
 class TestAccountantSinglePassAccounting:
     """Regression: ``spent`` must not re-fold the whole ledger per charge.
 

@@ -20,7 +20,7 @@ from repro.exceptions import (
     ServingTimeoutError,
     ValidationError,
 )
-from repro.mechanisms import LaplaceMechanism, PrivacySpec
+from repro.mechanisms import GaussianMechanism, LaplaceMechanism, PrivacySpec
 from repro.observability import Tracer, ledger_totals, tracing
 from repro.serving import (
     ReleaseService,
@@ -352,6 +352,45 @@ class TestAdmissionControl:
         assert ledger_totals(tracer.events, kinds=("charge", "refund"))[0] == (
             accountant.spent_epsilon
         )
+
+    def test_request_cost_is_the_spec_times_n(self):
+        """One release is charged the mechanism's own spec; n releases
+        are charged exactly ``PrivacySpec(nε, nδ)``."""
+        clock = SimulatedClock()
+        registry = TenantRegistry()
+        registry.register("alice", PrivacySpec(100.0, delta=0.5), seed=11)
+        service = ReleaseService(
+            registry, clock=clock, config=ServiceConfig(flush_window=0.01)
+        )
+        mechanism = GaussianMechanism(lambda d: float(np.sum(d)), 1.0, 0.3, 1e-7)
+        service.add_mechanism("sum", mechanism)
+        spec = mechanism.privacy
+
+        async def main():
+            assert len(await service.submit("alice", "sum", DATASET)) == 1
+            assert len(await service.submit("alice", "sum", DATASET, n=3)) == 3
+
+        clock.run(main())
+        ledger = registry.get("alice").accountant.ledger()
+        assert [entry.spec for entry in ledger] == [
+            spec, PrivacySpec(spec.epsilon * 3, spec.delta * 3)
+        ]
+        assert ledger[0].spec is spec
+
+    def test_timed_out_single_request_refunds_to_an_empty_ledger(self):
+        clock = SimulatedClock()
+        service = make_service(clock, flush_window=0.5, request_timeout=0.01)
+
+        async def main():
+            with pytest.raises(ServingTimeoutError):
+                await service.submit("alice", "sum", DATASET)
+            await service.drain()
+
+        clock.run(main())
+        accountant = service.registry.get("alice").accountant
+        assert accountant.ledger() == []
+        assert accountant.spent is None
+        assert accountant.remaining_epsilon == 100.0
 
     def test_unknown_mechanism_and_bad_n_are_usage_errors(self):
         clock = SimulatedClock()

@@ -1,5 +1,9 @@
 """Unit tests for repro.utils.validation."""
 
+import math
+import numbers
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -186,3 +190,111 @@ class TestCheckProbabilityVector:
     def test_accepts_within_tolerance(self):
         out = check_probability_vector([0.5, 0.5 + 1e-10])
         assert out.sum() == pytest.approx(1.0)
+
+
+# Verbatim copies of the validators before their ``float`` fast path: the
+# reference the fast path must agree with, input for input.
+def reference_check_positive(value, *, name: str = "value", strict: bool = True) -> float:
+    """Validate that a scalar is (strictly) positive and finite."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+    if strict and value <= 0:
+        raise ValidationError(f"{name} must be > 0, got {value}")
+    if not strict and value < 0:
+        raise ValidationError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def reference_check_in_range(
+    value,
+    *,
+    name: str = "value",
+    low: float = -np.inf,
+    high: float = np.inf,
+    inclusive: bool = True,
+) -> float:
+    """Validate that a scalar lies in ``[low, high]`` (or ``(low, high)``)."""
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if inclusive:
+        ok = low <= value <= high
+        bounds = f"[{low}, {high}]"
+    else:
+        ok = low < value < high
+        bounds = f"({low}, {high})"
+    if not ok:
+        raise ValidationError(f"{name} must lie in {bounds}, got {value}")
+    return value
+
+
+EQUIVALENCE_INPUTS = [
+    0.05,
+    5e-324,
+    0.0,
+    -0.0,
+    1.0,
+    math.nextafter(1.0, 2.0),
+    1e308,
+    math.inf,
+    -math.inf,
+    math.nan,
+    np.float64(0.5),
+    np.float32(0.25),
+    3,
+    True,
+    Fraction(1, 3),
+    np.array(0.5),
+    "1",
+    None,
+]
+
+# Every input goes through each call: both ``strict`` settings, the δ
+# range [0, 1] inclusive and exclusive, and the default unbounded range.
+EQUIVALENCE_CALLS = {
+    "positive-strict": (check_positive, reference_check_positive, {}),
+    "positive-nonstrict": (
+        check_positive, reference_check_positive, {"strict": False}
+    ),
+    "delta-inclusive": (
+        check_in_range, reference_check_in_range,
+        {"name": "delta", "low": 0.0, "high": 1.0},
+    ),
+    "delta-exclusive": (
+        check_in_range, reference_check_in_range,
+        {"name": "delta", "low": 0.0, "high": 1.0, "inclusive": False},
+    ),
+    "unbounded": (check_in_range, reference_check_in_range, {}),
+}
+
+
+def _outcome(validator, value, kwargs):
+    """What a call gives: the returned value down to its bits, or the
+    raised exception's type and message."""
+    try:
+        result = validator(value, **kwargs)
+    except Exception as error:  # compared, never swallowed: see the test
+        return ("raised", type(error), str(error))
+    return (
+        "returned", type(result), repr(result), math.copysign(1.0, result)
+    )
+
+
+class TestFloatFastPathEquivalence:
+    """The ``float`` fast path of ``check_positive``/``check_in_range``
+    returns exactly what the ``numbers.Real`` path returns and raises
+    exactly what it raises, for floats at every edge and for every other
+    type (which never takes the fast path)."""
+
+    @pytest.mark.parametrize("call", sorted(EQUIVALENCE_CALLS))
+    @pytest.mark.parametrize(
+        "value", EQUIVALENCE_INPUTS, ids=[repr(v) for v in EQUIVALENCE_INPUTS]
+    )
+    def test_same_result_as_the_abc_path(self, value, call):
+        validator, reference, kwargs = EQUIVALENCE_CALLS[call]
+        assert _outcome(validator, value, kwargs) == _outcome(
+            reference, value, kwargs
+        )

@@ -18,15 +18,23 @@ learning-specific vocabulary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.exceptions import ConvergenceError, ValidationError
-from repro.information.mutual_information import mutual_information_from_joint
+from repro.information.mutual_information import (
+    _mutual_information,
+    mutual_information_from_joint,
+)
 from repro.observability import tracer as _trace
 from repro.utils.numerics import logsumexp, stable_log
-from repro.utils.validation import check_positive, check_probability_vector
+from repro.utils.validation import (
+    check_positive,
+    check_probability_vector,
+    check_row_stochastic,
+)
 
 
 @dataclass
@@ -94,31 +102,33 @@ def channel_capacity(
     matrix = np.asarray(channel_matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValidationError("channel_matrix must be 2-D")
-    for row in matrix:
-        check_probability_vector(row, name="channel row")
+    if matrix.shape[0] == 0:
+        raise ValidationError("channel_matrix must have at least one row")
+    check_row_stochastic(matrix, name="channel row")
     n_inputs = matrix.shape[0]
 
-    log_matrix = stable_log(matrix)
+    positive = matrix > 0
     p = np.full(n_inputs, 1.0 / n_inputs)
     converged = False
     iterations = 0
     gap = np.inf
-    for iterations in range(1, max_iterations + 1):
-        output = p @ matrix
-        log_output = stable_log(output)
-        # D(row_x || output marginal) for every input x.
-        with np.errstate(invalid="ignore"):
-            contrib = matrix * (log_matrix - log_output[None, :])
-        contrib = np.where(matrix > 0, contrib, 0.0)
-        divergences = contrib.sum(axis=1)
-        upper = float(divergences.max())
-        lower = float(p @ divergences)
-        gap = upper - lower
-        if gap < tol:
-            converged = True
-            break
-        log_p = stable_log(p) + divergences
-        p = np.exp(log_p - logsumexp(log_p))
+    # One errstate for the whole loop: log 0 = -inf is expected, and the
+    # NaN terms a zero entry yields (0 · -inf) are masked out.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_matrix = np.log(matrix)
+        for iterations in range(1, max_iterations + 1):
+            output = p @ matrix
+            # D(row_x || output marginal) for every input x.
+            contrib = matrix * (log_matrix - np.log(output)[None, :])
+            divergences = np.where(positive, contrib, 0.0).sum(axis=1)
+            upper = float(divergences.max())
+            lower = float(p @ divergences)
+            gap = upper - lower
+            if gap < tol:
+                converged = True
+                break
+            log_p = np.log(p) + divergences
+            p = np.exp(log_p - _logsumexp(log_p))
 
     tracer = _trace.current()
     if tracer is not None:
@@ -185,6 +195,8 @@ def rate_distortion(
         raise ValidationError(
             "distortion_matrix must be 2-D with one row per source symbol"
         )
+    if d.shape[1] == 0:
+        raise ValidationError("distortion_matrix must have at least one column")
     if np.any(d < 0) or not np.all(np.isfinite(d)):
         raise ValidationError("distortion entries must be finite and >= 0")
     beta = check_positive(beta, name="beta")
@@ -200,37 +212,49 @@ def rate_distortion(
             raise ValidationError(
                 "initial_output must be strictly positive everywhere"
             )
+    if max_iterations < 1:
+        # No iteration would leave the channel uninitialized memory.
+        raise ValidationError("max_iterations must be >= 1")
 
     previous_value = np.inf
     converged = False
     monotone = True
     iterations = 0
     gap = np.inf
-    channel = np.empty_like(d)
-    for iterations in range(1, max_iterations + 1):
-        # Half-step 1: optimal channel for the current output marginal.
-        log_weights = stable_log(q)[None, :] - beta * d
-        log_norms = logsumexp(log_weights, axis=1)
-        channel = np.exp(log_weights - log_norms[:, None])
-        # Half-step 2: optimal output marginal for the current channel.
-        q = p @ channel
+    scaled = beta * d
+    column = p[:, None]
+    # One errstate for the whole loop, as in ``channel_capacity``; the
+    # per-iteration joint is p ⊗ exp(·) ≥ 0, so the MI kernel's own sum
+    # check is the only one of its checks that can fire.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for iterations in range(1, max_iterations + 1):
+            # Half-step 1: optimal channel for the current output marginal.
+            log_weights = np.log(q)[None, :] - scaled
+            channel = np.exp(log_weights - _logsumexp_rows(log_weights))
+            # Half-step 2: optimal output marginal for the current channel.
+            q = p @ channel
 
-        joint = p[:, None] * channel
-        rate = mutual_information_from_joint(joint)
-        distortion = float((joint * d).sum())
-        value = rate + beta * distortion
-        gap = previous_value - value if np.isfinite(previous_value) else np.inf
-        if gap < -tol:
-            # The objective went UP by more than the tolerance. Each exact
-            # half-step cannot increase the Lagrangian, so this is float
-            # noise near a (near-)degenerate fixed point — not a certified
-            # fixed point. Stop, but do not claim convergence.
-            monotone = False
-            break
-        if gap < tol:
-            converged = True
-            break
-        previous_value = value
+            joint = column * channel
+            rate = _mutual_information(joint)
+            distortion = float((joint * d).sum())
+            value = rate + beta * distortion
+            gap = (
+                previous_value - value
+                if math.isfinite(previous_value)
+                else math.inf
+            )
+            if gap < -tol:
+                # The objective went UP by more than the tolerance. Each
+                # exact half-step cannot increase the Lagrangian, so this
+                # is float noise near a (near-)degenerate fixed point — not
+                # a certified fixed point. Stop, but do not claim
+                # convergence.
+                monotone = False
+                break
+            if gap < tol:
+                converged = True
+                break
+            previous_value = value
 
     tracer = _trace.current()
     if tracer is not None:
@@ -259,6 +283,27 @@ def rate_distortion(
         final_gap=float(gap) if np.isfinite(gap) else float("inf"),
         monotone=monotone,
     )
+
+
+def _logsumexp(log_values: np.ndarray) -> float:
+    """:func:`~repro.utils.numerics.logsumexp` of a non-empty 1-D array,
+    minus its checks and ``errstate`` (the caller ignores ``divide``)."""
+    peak = log_values.max()
+    if not math.isfinite(peak):
+        return float(peak)
+    return float(peak + np.log(np.exp(log_values - peak).sum()))
+
+
+def _logsumexp_rows(log_values: np.ndarray) -> np.ndarray:
+    """``logsumexp(log_values, axis=1)[:, None]`` with the same arithmetic,
+    minus its checks and ``errstate`` (the caller ignores ``divide``)."""
+    peak = log_values.max(axis=1, keepdims=True)
+    finite = np.isfinite(peak)
+    safe_peak = np.where(finite, peak, 0.0)
+    out = safe_peak + np.log(
+        np.exp(log_values - safe_peak).sum(axis=1, keepdims=True)
+    )
+    return np.where(finite, out, peak)
 
 
 def rate_distortion_free_energy(source, distortion_matrix, beta: float) -> float:

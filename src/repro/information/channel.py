@@ -16,7 +16,7 @@ from repro.distributions.discrete import DiscreteDistribution
 from repro.exceptions import SupportMismatchError, ValidationError
 from repro.information.divergences import _max_divergence_rows
 from repro.information.mutual_information import mutual_information_from_joint
-from repro.utils.validation import check_probability_vector
+from repro.utils.validation import check_probability_vector, check_row_stochastic
 
 
 class DiscreteChannel:
@@ -46,8 +46,7 @@ class DiscreteChannel:
             )
         if len(inputs) == 0 or len(outputs) == 0:
             raise ValidationError("alphabets must not be empty")
-        for row in mat:
-            check_probability_vector(row, name="channel row")
+        check_row_stochastic(mat, name="channel row")
         self._inputs = inputs
         self._outputs = outputs
         self._matrix = mat / mat.sum(axis=1, keepdims=True)

@@ -18,8 +18,7 @@ from scipy.spatial import cKDTree
 from scipy.special import digamma
 
 from repro.exceptions import ValidationError
-from repro.utils.numerics import xlogx
-from repro.utils.validation import check_random_state
+from repro.utils.validation import PROBABILITY_SLACK, check_random_state
 
 
 def mutual_information_from_joint(joint) -> float:
@@ -33,14 +32,32 @@ def mutual_information_from_joint(joint) -> float:
         raise ValidationError("joint must be a 2-D matrix")
     if np.any(joint < 0):
         raise ValidationError("joint must be nonnegative")
-    total = joint.sum()
-    if not np.isclose(total, 1.0, atol=1e-8):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _mutual_information(joint)
+
+
+def _mutual_information(joint: np.ndarray) -> float:
+    """Kernel of :func:`mutual_information_from_joint`.
+
+    ``joint`` must be a 2-D float matrix known to be nonnegative, and the
+    caller must ignore ``divide`` and ``invalid`` in ``np.errstate`` (the
+    ``0 log 0`` terms compute ``log 0`` and ``0 * -inf`` before they are
+    masked). Checks the total, renormalizes by it and takes the three
+    entropies.
+    """
+    total = float(joint.sum())
+    if not abs(total - 1.0) <= PROBABILITY_SLACK:
         raise ValidationError(f"joint must sum to 1 (got {total:.12g})")
     joint = joint / total
-    h_x = -xlogx(joint.sum(axis=1)).sum()
-    h_y = -xlogx(joint.sum(axis=0)).sum()
-    h_xy = -xlogx(joint).sum()
+    h_x = -_xlogx_sum(joint.sum(axis=1))
+    h_y = -_xlogx_sum(joint.sum(axis=0))
+    h_xy = -_xlogx_sum(joint)
     return float(max(h_x + h_y - h_xy, 0.0))
+
+
+def _xlogx_sum(values: np.ndarray):
+    """``xlogx(values).sum()``, with the ``0 log 0`` terms exact zeros."""
+    return np.where(values > 0, values * np.log(values), 0.0).sum()
 
 
 def mutual_information_histogram(

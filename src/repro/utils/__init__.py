@@ -7,6 +7,7 @@ from repro.utils.validation import (
     check_positive,
     check_probability_vector,
     check_random_state,
+    check_row_stochastic,
 )
 from repro.utils.numerics import (
     log_mean_exp,
@@ -25,6 +26,7 @@ __all__ = [
     "check_positive",
     "check_probability_vector",
     "check_random_state",
+    "check_row_stochastic",
     "log_mean_exp",
     "logsumexp",
     "normalize_log_weights",

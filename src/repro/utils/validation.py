@@ -16,6 +16,12 @@ from repro.exceptions import NotNormalizedError, ValidationError
 #: Absolute tolerance used when checking that probabilities sum to one.
 PROBABILITY_ATOL = 1e-8
 
+#: The widest ``|total - 1|`` a probability sum may show:
+#: ``np.isclose(total, 1.0, atol=PROBABILITY_ATOL)`` with its default
+#: ``rtol=1e-5`` and ``b = 1``. NaN and ±inf fail ``<=`` against it, as
+#: they fail ``np.isclose``.
+PROBABILITY_SLACK = PROBABILITY_ATOL + 1e-5
+
 _INF = float("inf")
 
 
@@ -144,8 +150,33 @@ def check_probability_vector(value, *, name: str = "probabilities") -> np.ndarra
     if np.any(arr < 0):
         raise ValidationError(f"{name} must be nonnegative")
     total = float(arr.sum())
-    if not np.isclose(total, 1.0, atol=PROBABILITY_ATOL):
+    if not abs(total - 1.0) <= PROBABILITY_SLACK:
         raise NotNormalizedError(
             f"{name} must sum to 1 (got {total:.12g})"
         )
     return arr / total
+
+
+def check_row_stochastic(matrix: np.ndarray, *, name: str = "row") -> np.ndarray:
+    """Validate every row of a 2-D float matrix as a probability vector.
+
+    One vectorized pass replaces a :func:`check_probability_vector` call
+    per row; a row it flags is handed to :func:`check_probability_vector`,
+    so the first failing row raises exactly what that call raises. The
+    row totals are summed over a C-contiguous copy, which adds each row in
+    the same order as the 1-D sum of that row. A NaN or ±inf entry makes
+    its row's total non-finite, so it is flagged too. Returns ``matrix``
+    unchanged (not renormalized).
+    """
+    rows = np.ascontiguousarray(matrix)
+    if rows.shape[1] == 0:
+        flagged = np.ones(rows.shape[0], dtype=bool)
+    else:
+        # ``inf + -inf`` in a total is flagged, not warned about.
+        with np.errstate(invalid="ignore"):
+            totals = rows.sum(axis=1)
+        flagged = ~(np.abs(totals - 1.0) <= PROBABILITY_SLACK)
+        flagged |= (rows < 0).any(axis=1)
+    for index in np.flatnonzero(flagged):
+        check_probability_vector(rows[index], name=name)
+    return matrix

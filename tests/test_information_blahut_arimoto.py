@@ -42,6 +42,12 @@ class TestChannelCapacity:
         with pytest.raises(ValidationError):
             channel_capacity([[0.5, 0.6], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 0)])
+    def test_rejects_a_channel_without_inputs(self, shape):
+        # Used to raise ZeroDivisionError from the uniform start 1/n.
+        with pytest.raises(ValidationError, match="at least one row"):
+            channel_capacity(np.zeros(shape))
+
     def test_capacity_no_less_than_any_input(self):
         rng = np.random.default_rng(0)
         matrix = rng.dirichlet(np.ones(3), size=4)
@@ -109,6 +115,19 @@ class TestRateDistortion:
     def test_rejects_negative_distortion(self):
         with pytest.raises(ValidationError):
             rate_distortion([1.0], [[-0.5]], beta=1.0)
+
+    def test_rejects_a_distortion_matrix_without_outputs(self):
+        # Used to raise ZeroDivisionError from the uniform start 1/m.
+        with pytest.raises(ValidationError, match="at least one column"):
+            rate_distortion([0.5, 0.5], np.zeros((2, 0)), beta=1.0)
+
+    def test_rejects_an_empty_iteration_budget(self):
+        # Zero iterations used to return (or fail on) an uninitialized
+        # channel matrix.
+        with pytest.raises(ValidationError, match="max_iterations"):
+            rate_distortion(
+                [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]], 1.0, max_iterations=0
+            )
 
     def test_rejects_zero_initial_output_mass(self):
         with pytest.raises(ValidationError):

@@ -239,6 +239,16 @@ class TestPrivateMedian:
         with pytest.raises(ValidationError):
             locally_private_median([0.5, np.nan], 1.0)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [{"lower": "a"}, {"lower": None}, {"upper": "1"}, {"upper": None}],
+        ids=repr,
+    )
+    def test_rejects_non_numeric_bounds(self, bounds):
+        # Used to raise TypeError from np.isfinite.
+        with pytest.raises(ValidationError, match="real numbers"):
+            locally_private_median([0.5], 1.0, **bounds)
+
 
 class TestRates:
     def test_trust_ordering_at_small_epsilon(self):

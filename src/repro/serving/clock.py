@@ -6,13 +6,14 @@ service code runs in two modes:
 
 * :class:`SystemClock` binds to the running asyncio event loop's monotonic
   time for real deployments;
-* :class:`SimulatedClock` owns a virtual timeline: ``sleep`` registers a
-  deadline in a heap and time only moves when the driver advances it to
-  the next deadline, after the event loop has *quiesced* (no task made
-  progress over several consecutive zero-sleeps). A fleet of thousands of
-  simulated clients therefore runs in milliseconds of wall time, in an
-  order fully determined by the (seeded) workload — the property the
-  load-test harness's bit-identical reports rest on.
+* :class:`SimulatedClock` owns a virtual timeline: every delay — a sleep
+  or a request timeout — files a deadline in a heap, and time moves only
+  when the event loop has nothing left to run. :meth:`SimulatedClock.run`
+  drives the loop on a selector that, where the loop would block waiting
+  for I/O, advances the clock to the next deadline instead. A fleet of
+  thousands of simulated clients therefore runs in milliseconds of wall
+  time, in an order fully determined by the (seeded) workload — the
+  property the load-test harness's bit-identical reports rest on.
 
 No wall-clock reads happen anywhere in the simulated path, so two runs of
 the same workload interleave identically on any machine.
@@ -22,26 +23,35 @@ from __future__ import annotations
 
 import asyncio
 import heapq
+import selectors
 import time
+from functools import partial
 
-from repro.exceptions import ServingError, ServingTimeoutError
+from repro.exceptions import ServingError, ServingTimeoutError, ValidationError
 
 __all__ = ["Clock", "SimulatedClock", "SystemClock"]
 
-#: Fallback quiescence margin: consecutive no-progress event-loop passes
-#: required to call the loop settled when the loop's ready queue cannot be
-#: inspected directly. Each pass runs every currently-ready callback; a
-#: resolved future wakes its waiter on the *next* pass, so the margin must
-#: exceed the longest await chain between clock events.
-_QUIESCE_STABLE_PASSES = 25
+
+def _checked_delay(seconds, name: str):
+    """Reject a NaN delay, which no deadline can be ordered against."""
+    if seconds != seconds:
+        raise ValidationError(f"{name} must not be NaN")
+    return seconds
+
+
+def _wake(waiter: asyncio.Future, _completed=None) -> None:
+    """Resolve a deadline future unless it already resolved or was cancelled."""
+    if not waiter.done():
+        waiter.set_result(None)
 
 
 class Clock:
     """Time source interface used by the serving layer.
 
-    Subclasses provide ``now()`` (monotonic seconds) and ``sleep()``;
-    :meth:`wait_for` is implemented once on top of ``sleep`` so timeouts
-    follow the same timeline as every other delay — real or simulated.
+    Subclasses provide ``now()``, ``sleep()`` and ``_deadline()``;
+    :meth:`wait_for` is implemented once on top of ``_deadline`` so
+    timeouts follow the same timeline as every other delay — real or
+    simulated.
     """
 
     def now(self) -> float:
@@ -54,36 +64,45 @@ class Clock:
         Parameters
         ----------
         seconds:
-            Non-negative delay; 0 yields once to the event loop.
+            Non-negative delay; 0 yields once to the event loop. NaN
+            raises :class:`~repro.exceptions.ValidationError`.
+        """
+        raise NotImplementedError
+
+    def _deadline(self, seconds: float) -> asyncio.Future:
+        """A future the clock resolves once ``seconds`` have elapsed.
+
+        Anyone may resolve it earlier; the clock then skips it.
         """
         raise NotImplementedError
 
     async def wait_for(self, future: asyncio.Future, timeout: float | None):
         """Await ``future``, bounded by ``timeout`` seconds of clock time.
 
-        Races the future against :meth:`sleep`. On expiry the future is
-        left *pending* (not cancelled) and
-        :class:`~repro.exceptions.ServingTimeoutError` is raised — the
-        caller owns the rollback decision, because only it knows whether
-        the underlying work already started.
+        Files one deadline future and suspends on it; ``future``
+        completing first resolves that deadline early through a single
+        done-callback. On expiry the future is left *pending* (not
+        cancelled) and :class:`~repro.exceptions.ServingTimeoutError` is
+        raised — the caller owns the rollback decision, because only it
+        knows whether the underlying work already started.
 
         Parameters
         ----------
         future:
             The awaitable result being bounded.
         timeout:
-            Clock seconds to wait; ``None`` waits forever.
+            Clock seconds to wait; ``None`` waits forever. NaN raises
+            :class:`~repro.exceptions.ValidationError`.
         """
         if timeout is None:
             return await future
-        timer = asyncio.ensure_future(self.sleep(timeout))
+        waiter = self._deadline(_checked_delay(timeout, "timeout"))
+        wake = partial(_wake, waiter)
+        future.add_done_callback(wake)
         try:
-            await asyncio.wait(
-                {future, timer}, return_when=asyncio.FIRST_COMPLETED
-            )
+            await waiter
         finally:
-            if not timer.done():
-                timer.cancel()
+            future.remove_done_callback(wake)
         if future.done():
             return future.result()
         raise ServingTimeoutError(
@@ -106,121 +125,149 @@ class SystemClock(Clock):
         seconds:
             Non-negative delay in real seconds.
         """
-        await asyncio.sleep(max(0.0, seconds))
+        await asyncio.sleep(max(0.0, _checked_delay(seconds, "sleep delay")))
+
+    def _deadline(self, seconds: float) -> asyncio.Future:
+        """A loop timer resolves the future; resolving it first disarms it."""
+        loop = asyncio.get_running_loop()
+        waiter = loop.create_future()
+        timer = loop.call_later(seconds, _wake, waiter)
+        waiter.add_done_callback(lambda _: timer.cancel())
+        return waiter
+
+
+class _IdleAdvancingSelector(selectors.DefaultSelector):
+    """A selector that advances a :class:`SimulatedClock` when the loop idles.
+
+    The event loop asks for ``select(0)`` whenever callbacks are ready,
+    and for a blocking ``select`` only when none are: every task is then
+    suspended on a future, so only advancing time can make progress.
+    """
+
+    def __init__(self, clock: SimulatedClock) -> None:
+        super().__init__()
+        self._clock = clock
+
+    def select(self, timeout=None):
+        """Poll for I/O; with none ready and nothing runnable, advance."""
+        if timeout == 0:
+            return []
+        events = super().select(0)
+        if not events:
+            self._clock.advance_to_next()
+        return events
 
 
 class SimulatedClock(Clock):
     """Deterministic virtual time driven by a deadline heap.
 
-    ``sleep`` never blocks on real time: it files a ``(deadline, seq,
-    future)`` entry and suspends until the driver advances the clock to
-    that deadline. ``seq`` breaks deadline ties in registration order, so
-    wake order is a pure function of the workload.
+    ``sleep`` and ``wait_for`` never block on real time: each files a
+    ``(deadline, seq, future)`` entry and suspends until the clock is
+    advanced to that deadline. ``seq`` breaks deadline ties in
+    registration order, so wake order is a pure function of the
+    workload. A request timeout registers when ``wait_for`` is called —
+    for the service, inside ``submit`` — while a batch's flush window
+    registers one loop pass later, when its timer task first runs. So a
+    request that opens a batch whose window equals its timeout (the same
+    float) times out before the window flushes.
 
     Use :meth:`run` to execute a coroutine to completion under this
-    clock; it owns the advance loop (quiesce, then jump to the next
-    deadline) and raises :class:`~repro.exceptions.ServingError` on a
-    deadlock — tasks still pending with no timer left to fire.
+    clock: whenever the event loop runs out of ready callbacks, the clock
+    jumps to the next deadline. It raises
+    :class:`~repro.exceptions.ServingError` on a deadlock — tasks still
+    pending with no timer left to fire.
     """
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
         self._heap: list[tuple[float, int, asyncio.Future]] = []
         self._seq = 0
-        self._activity = 0
 
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
 
     async def sleep(self, seconds: float) -> None:
-        """Suspend until the driver advances past ``now() + seconds``.
+        """Suspend until the clock advances past ``now() + seconds``.
 
         Parameters
         ----------
         seconds:
             Non-negative virtual delay; 0 yields once without filing a
-            deadline.
+            deadline. NaN raises :class:`~repro.exceptions.ValidationError`.
         """
-        self._activity += 1
-        if seconds <= 0:
+        if seconds > 0:
+            await self._deadline(seconds)
+        else:
+            _checked_delay(seconds, "sleep delay")
             await asyncio.sleep(0)
-            return
-        future = asyncio.get_running_loop().create_future()
-        heapq.heappush(self._heap, (self._now + float(seconds), self._seq, future))
+
+    def _deadline(self, seconds: float) -> asyncio.Future:
+        """File a ``(now + seconds, seq, future)`` entry in the heap."""
+        waiter = asyncio.get_running_loop().create_future()
+        heapq.heappush(self._heap, (self._now + float(seconds), self._seq, waiter))
         self._seq += 1
-        await future
+        return waiter
 
     def advance_to_next(self) -> float:
-        """Jump to the earliest pending deadline and wake its sleepers.
+        """Jump to the earliest pending deadline and wake its waiters.
 
         All entries sharing the earliest deadline resolve in registration
-        order. Entries whose futures were cancelled (abandoned timeouts)
-        are discarded without waking anyone.
+        order. Entries whose futures are already done — a cancelled
+        sleep, or a timeout whose request completed first — are
+        discarded without waking anyone. With no pending entry left,
+        raises the deadlock :class:`~repro.exceptions.ServingError`.
         """
-        while self._heap:
-            deadline, _, future = heapq.heappop(self._heap)
-            if future.cancelled():
+        heap = self._heap
+        while heap:
+            deadline, _, waiter = heapq.heappop(heap)
+            if waiter.done():
                 continue
             self._now = max(self._now, deadline)
-            future.set_result(None)
-            self._activity += 1
-            while self._heap and self._heap[0][0] <= self._now:
-                _, _, later = heapq.heappop(self._heap)
-                if not later.cancelled():
-                    later.set_result(None)
-                    self._activity += 1
+            waiter.set_result(None)
+            while heap and heap[0][0] <= self._now:
+                _wake(heapq.heappop(heap)[2])
             return self._now
-        raise ServingError("no pending deadline to advance to")
-
-    async def _quiesce(self) -> None:
-        """Yield until every runnable task has run out of work.
-
-        The exact signal is the event loop's ready queue: when the
-        driver wakes from a zero-sleep and nothing else is queued, every
-        other task is suspended on a future (a clock deadline or a peer),
-        so only advancing time can create progress. The queue attribute
-        is CPython's ``_ready``; on loops without it, fall back to
-        counting clock-activity-stable passes with a generous margin.
-        """
-        ready = getattr(asyncio.get_running_loop(), "_ready", None)
-        if ready is not None:
-            while True:
-                await asyncio.sleep(0)
-                if not ready:
-                    return
-        stable = 0
-        while stable < _QUIESCE_STABLE_PASSES:
-            before = self._activity
-            await asyncio.sleep(0)
-            stable = stable + 1 if self._activity == before else 0
+        raise ServingError(
+            "simulated-clock deadlock: tasks pending but no timer is "
+            "scheduled to wake them"
+        )
 
     def run(self, coroutine):
         """Execute ``coroutine`` to completion under this clock.
 
-        Alternates quiescing the event loop with advancing the clock to
-        the next deadline until the coroutine finishes. A pending
-        coroutine with an empty deadline heap is a deadlock and raises
-        :class:`~repro.exceptions.ServingError` rather than hanging.
+        Runs a fresh event loop whose selector advances the clock to the
+        next deadline whenever no callback is ready, then cancels any
+        task left behind and closes the loop, as :func:`asyncio.run`
+        does. A pending coroutine with no deadline left is a deadlock and
+        raises :class:`~repro.exceptions.ServingError` rather than
+        hanging.
 
         Parameters
         ----------
         coroutine:
             The workload to drive (e.g. a load-test fleet).
         """
-
-        async def _drive():
-            task = asyncio.ensure_future(coroutine)
-            while True:
-                await self._quiesce()
-                if task.done():
-                    return task.result()
-                if not any(not f.cancelled() for _, _, f in self._heap):
+        try:
+            asyncio.get_running_loop()
+        except RuntimeError:
+            loop = asyncio.SelectorEventLoop(_IdleAdvancingSelector(self))
+        else:
+            raise RuntimeError(
+                "SimulatedClock.run() cannot be called from a running event loop"
+            )
+        try:
+            return loop.run_until_complete(coroutine)
+        finally:
+            try:
+                leftover = asyncio.all_tasks(loop)
+                for task in leftover:
                     task.cancel()
-                    raise ServingError(
-                        "simulated-clock deadlock: tasks pending but no "
-                        "timer is scheduled to wake them"
+                if leftover:
+                    loop.run_until_complete(
+                        asyncio.gather(*leftover, return_exceptions=True)
                     )
-                self.advance_to_next()
-
-        return asyncio.run(_drive())
+                loop.run_until_complete(loop.shutdown_asyncgens())
+                loop.run_until_complete(loop.shutdown_default_executor())
+            finally:
+                loop.close()

@@ -43,7 +43,7 @@ from repro.observability import tracer as _trace
 from repro.serving.clock import Clock, SystemClock
 from repro.serving.tenants import Tenant, TenantRegistry
 from repro.testing.statistical import derive_seed
-from repro.utils.validation import check_random_state
+from repro.utils.validation import check_positive, check_random_state
 
 __all__ = ["ReleaseService", "ServiceConfig"]
 
@@ -55,13 +55,14 @@ class ServiceConfig:
     Parameters
     ----------
     flush_window:
-        Clock seconds a batch stays open collecting same-key requests
-        before flushing.
+        Clock seconds (finite, >= 0) a batch stays open collecting
+        same-key requests before flushing.
     max_batch:
         Release count that flushes a batch immediately, ahead of its
         window.
     request_timeout:
-        Per-request clock deadline (``None`` waits forever).
+        Per-request clock deadline, finite and > 0 (``None`` waits
+        forever).
     max_retries:
         Batch re-execution budget after a failure; each retry draws from
         a deterministically re-derived generator.
@@ -77,14 +78,18 @@ class ServiceConfig:
     batching: bool = True
 
     def __post_init__(self) -> None:
-        if self.flush_window < 0:
-            raise ValidationError("flush_window must be >= 0")
-        if not isinstance(self.max_batch, int) or self.max_batch < 1:
+        check_positive(self.flush_window, name="flush_window", strict=False)
+        if not _is_count(self.max_batch) or self.max_batch < 1:
             raise ValidationError("max_batch must be an integer >= 1")
-        if self.request_timeout is not None and self.request_timeout <= 0:
-            raise ValidationError("request_timeout must be > 0 (or None)")
-        if not isinstance(self.max_retries, int) or self.max_retries < 0:
+        if self.request_timeout is not None:
+            check_positive(self.request_timeout, name="request_timeout")
+        if not _is_count(self.max_retries) or self.max_retries < 0:
             raise ValidationError("max_retries must be an integer >= 0")
+
+
+def _is_count(value) -> bool:
+    """An ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass

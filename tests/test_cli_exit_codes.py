@@ -236,6 +236,47 @@ class TestBenchExitCodes:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestLoadtestExitCodes:
+    SMALL = ["--clients", "4", "--requests-per-client", "2"]
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--timeout", "nan", "request_timeout"),
+            ("--timeout", "inf", "request_timeout"),
+            ("--timeout", "0", "request_timeout"),
+            ("--flush-window", "nan", "flush_window"),
+            ("--flush-window", "inf", "flush_window"),
+        ],
+    )
+    def test_bad_service_config_exits_two(self, flag, value, field, capsys,
+                                          tmp_path):
+        code = main(
+            ["loadtest", *self.SMALL, flag, value,
+             "--output-dir", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_timed_run_exits_zero(self, capsys, tmp_path):
+        code = main(
+            ["loadtest", *self.SMALL, "--timeout", "0.015",
+             "--output-dir", str(tmp_path)]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "LOADTEST_smoke.json").read_text())
+        assert report["deterministic"]["requests"] == 8
+
+    def test_subprocess_nan_timeout_exits_two(self, tmp_path):
+        result = _run_module(
+            "loadtest", *self.SMALL, "--timeout", "nan",
+            "--output-dir", str(tmp_path),
+        )
+        assert result.returncode == 2, result.stderr
+        assert "request_timeout" in result.stderr
+
+
 def _audit_row(mechanism="laplace", satisfied=True, **overrides):
     row = {
         "mechanism": mechanism,

@@ -26,6 +26,7 @@ from repro.serving import (
     ReleaseService,
     ServiceConfig,
     SimulatedClock,
+    SystemClock,
     TenantRegistry,
 )
 from repro.testing.statistical import derive_seed
@@ -128,6 +129,98 @@ class TestSimulatedClock:
 
         with pytest.raises(ServingError, match="deadlock"):
             clock.run(main())
+
+    def test_rejected_nan_sleep_leaves_the_heap_ordered(self):
+        clock = SimulatedClock()
+        wakes = []
+
+        async def sleeper(name, seconds):
+            try:
+                await clock.sleep(seconds)
+            except ValidationError:
+                wakes.append((name, "rejected"))
+                return
+            wakes.append((name, clock.now()))
+
+        async def main():
+            await asyncio.gather(
+                sleeper("a", 1.0), sleeper("nan", float("nan")),
+                sleeper("b", 0.5), sleeper("c", 2.0),
+            )
+
+        clock.run(main())
+        assert wakes == [
+            ("nan", "rejected"), ("b", 0.5), ("a", 1.0), ("c", 2.0)
+        ]
+
+    def test_timed_out_future_is_left_pending(self):
+        clock = SimulatedClock()
+
+        async def main():
+            future = asyncio.get_running_loop().create_future()
+            with pytest.raises(ServingTimeoutError):
+                await clock.wait_for(future, 1.0)
+            assert not future.done()
+            future.set_result("late")
+            await asyncio.sleep(0)
+            return await clock.wait_for(future, 1.0), clock.now()
+
+        assert clock.run(main()) == ("late", 1.0)
+
+    def test_leftover_tasks_are_cancelled_without_advancing(self):
+        clock = SimulatedClock()
+        cancelled = []
+
+        async def straggler():
+            try:
+                await clock.sleep(5.0)
+            except asyncio.CancelledError:
+                cancelled.append(clock.now())
+                raise
+
+        async def main():
+            asyncio.ensure_future(straggler())
+            await clock.sleep(1.0)
+            return clock.now()
+
+        assert clock.run(main()) == 1.0
+        assert cancelled == [1.0]
+        assert clock.now() == 1.0
+
+    def test_run_inside_a_running_loop_is_refused(self):
+        clock = SimulatedClock()
+
+        async def inner():
+            return None
+
+        async def outer():
+            coroutine = inner()
+            try:
+                with pytest.raises(RuntimeError, match="running event loop"):
+                    clock.run(coroutine)
+            finally:
+                coroutine.close()
+
+        asyncio.run(outer())
+
+
+@pytest.mark.parametrize("clock_cls", [SimulatedClock, SystemClock])
+def test_nan_delay_is_rejected_by_both_clocks(clock_cls):
+    """A NaN delay has no place on a timeline: ``sleep`` and ``wait_for``
+    raise before registering anything, and the clock keeps working."""
+    clock = clock_cls()
+
+    async def main():
+        future = asyncio.get_running_loop().create_future()
+        with pytest.raises(ValidationError, match="sleep delay must not be NaN"):
+            await clock.sleep(float("nan"))
+        with pytest.raises(ValidationError, match="timeout must not be NaN"):
+            await clock.wait_for(future, float("nan"))
+        future.set_result("done")
+        return await clock.wait_for(future, 1.0)
+
+    run = clock.run if isinstance(clock, SimulatedClock) else asyncio.run
+    assert run(main()) == "done"
 
 
 class TestTenantAccountant:
@@ -442,3 +535,25 @@ class TestShutdown:
             ServiceConfig(request_timeout=0.0)
         with pytest.raises(ValidationError):
             ServiceConfig(max_retries=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("flush_window", float("nan")),
+            ("flush_window", float("inf")),
+            ("flush_window", float("-inf")),
+            ("request_timeout", float("nan")),
+            ("request_timeout", float("inf")),
+            ("request_timeout", float("-inf")),
+            ("max_batch", True),
+            ("max_retries", True),
+            ("max_retries", False),
+        ],
+    )
+    def test_config_rejects_non_finite_and_boolean_values(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            ServiceConfig(**{field: value})
+
+    def test_config_accepts_integer_durations(self):
+        config = ServiceConfig(flush_window=0, request_timeout=2, max_batch=1)
+        assert (config.flush_window, config.request_timeout) == (0, 2)

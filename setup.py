@@ -18,6 +18,6 @@ setup(
     license="MIT",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
+    install_requires=["numpy>=1.24", "scipy>=1.11"],
     extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
 )

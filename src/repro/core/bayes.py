@@ -19,7 +19,6 @@ MCMC — with privacy read off the truncation level.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import beta as beta_distribution
 
 from repro.exceptions import ValidationError
 from repro.mechanisms.base import Mechanism, PrivacySpec
@@ -114,6 +113,8 @@ class TruncatedBetaBernoulliPosterior(Mechanism):
         )
 
     def _truncated_cdf_bounds(self, alpha: float, beta: float) -> tuple[float, float]:
+        from scipy.stats import beta as beta_distribution
+
         low = beta_distribution.cdf(self.truncation, alpha, beta)
         high = beta_distribution.cdf(1.0 - self.truncation, alpha, beta)
         return float(low), float(high)
@@ -124,6 +125,8 @@ class TruncatedBetaBernoulliPosterior(Mechanism):
         Inverse-CDF sampling restricted to the truncation interval — no
         rejection loop, no MCMC error, so the nominal guarantee is exact.
         """
+        from scipy.stats import beta as beta_distribution
+
         rng = check_random_state(random_state)
         alpha, beta = self.posterior_parameters(data)
         low, high = self._truncated_cdf_bounds(alpha, beta)
@@ -133,6 +136,8 @@ class TruncatedBetaBernoulliPosterior(Mechanism):
     def posterior_mean(self, data) -> float:
         """Mean of the truncated tempered posterior (itself NOT private —
         it is deterministic in the data; use :meth:`release`)."""
+        from scipy.stats import beta as beta_distribution
+
         alpha, beta = self.posterior_parameters(data)
         low, high = self._truncated_cdf_bounds(alpha, beta)
         # E[θ | truncated] via the Beta(α+1, β) identity.
@@ -145,6 +150,8 @@ class TruncatedBetaBernoulliPosterior(Mechanism):
     def posterior_density(self, data, theta):
         """Truncated tempered posterior density at θ (exact, normalized);
         elementwise for an array θ, and 0 outside the truncation."""
+        from scipy.stats import beta as beta_distribution
+
         thetas = np.asarray(theta, dtype=float)
         alpha, beta = self.posterior_parameters(data)
         low, high = self._truncated_cdf_bounds(alpha, beta)

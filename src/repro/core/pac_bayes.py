@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.distributions.discrete import DiscreteDistribution
 from repro.exceptions import ValidationError
@@ -158,6 +157,8 @@ def minimize_catoni_bound(
     closed_form = gibbs_minimizer(prior, risks, temperature)
     if not numerical:
         return closed_form, catoni_objective(closed_form, prior, risks, temperature)
+
+    from scipy.optimize import minimize
 
     size = len(prior)
 

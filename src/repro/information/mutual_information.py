@@ -14,8 +14,6 @@ Three routes, cross-validated in the test suite:
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import digamma
 
 from repro.exceptions import ValidationError
 from repro.utils.validation import PROBABILITY_SLACK, check_random_state
@@ -115,6 +113,9 @@ def mutual_information_ksg(
         Seed or Generator for the tie-breaking jitter; the fixed default
         keeps the estimate deterministic for a given sample.
     """
+    from scipy.spatial import cKDTree
+    from scipy.special import digamma
+
     x = np.asarray(x_samples, dtype=float)
     y = np.asarray(y_samples, dtype=float)
     if x.ndim == 1:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import abc
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.exceptions import ValidationError
 from repro.utils.validation import (
@@ -108,6 +107,8 @@ class GaussianThresholdTask(SyntheticTask):
 
     def true_risk(self, threshold: float) -> float:
         """Exact 0-1 risk of the threshold predictor."""
+        from scipy.stats import norm
+
         t = float(threshold)
         return float(
             0.5 * norm.cdf((t - self.mu) / self.sigma)
@@ -116,6 +117,8 @@ class GaussianThresholdTask(SyntheticTask):
 
     def bayes_risk(self) -> float:
         """Risk of the optimal threshold t = 0: ``Φ(-μ/σ)``."""
+        from scipy.stats import norm
+
         return float(norm.cdf(-self.mu / self.sigma))
 
 
@@ -157,6 +160,8 @@ class TwoGaussiansTask(SyntheticTask):
         Only exact when features are *not* clipped; with clipping it is an
         excellent approximation for well-separated classes.
         """
+        from scipy.stats import norm
+
         theta = np.asarray(theta, dtype=float)
         if theta.shape != self.mean.shape:
             raise ValidationError("theta has the wrong dimension")
@@ -167,6 +172,8 @@ class TwoGaussiansTask(SyntheticTask):
 
     def bayes_risk(self) -> float:
         """Risk of the optimal direction θ ∝ mean: ``Φ(-‖mean‖)``."""
+        from scipy.stats import norm
+
         return float(norm.cdf(-np.linalg.norm(self.mean)))
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 from repro.exceptions import ValidationError
 from repro.mechanisms.base import PrivacySpec
@@ -286,6 +285,8 @@ class L2SamplingMechanism(_SamplingMechanism):
         u:
             ``(n, d+2)`` uniform draws, one row per record.
         """
+        from scipy.special import ndtri
+
         d = self.dimension
         # uniform() can return exactly 0.0, and ndtri(0) = -inf would
         # turn the direction into inf/inf = NaN; clamp to the smallest

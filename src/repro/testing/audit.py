@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -44,11 +45,6 @@ from repro.utils.validation import (
     check_random_state,
 )
 
-try:  # SciPy is optional: exact Beta quantiles when present.
-    from scipy.stats import beta as _beta_distribution
-except ImportError:  # pragma: no cover - exercised via the method switch
-    _beta_distribution = None
-
 
 def clopper_pearson_interval(
     successes: int,
@@ -62,34 +58,38 @@ def clopper_pearson_interval(
     The exact (conservative) binomial interval: lower endpoint
     ``Beta(α/2; k, n-k+1)``, upper endpoint ``Beta(1-α/2; k+1, n-k)``,
     with the conventional endpoints 0 at ``k = 0`` and 1 at ``k = n``.
+    The Beta quantiles come from :func:`scipy.special.betaincinv`, which
+    gives the same doubles as ``scipy.stats.beta.ppf`` (both are Boost's
+    ``ibeta_inv``) without importing :mod:`scipy.stats`.
 
     Parameters
     ----------
     successes:
-        Observed event count ``k``.
+        Observed event count ``k``, an integer (``bool`` is refused).
     trials:
-        Number of draws ``n``.
+        Number of draws ``n``, an integer (``bool`` is refused).
     confidence:
         Two-sided coverage level ``1 - α``.
     method:
-        ``"beta"`` (exact, needs SciPy), ``"hoeffding"`` (distribution-free
-        fallback ``p̂ ± sqrt(log(2/α) / 2n)``), or ``"auto"`` (beta when
-        SciPy is importable).
+        ``"beta"`` (the exact interval above), ``"hoeffding"``
+        (distribution-free ``p̂ ± sqrt(log(2/α) / 2n)``), or ``"auto"``,
+        which means ``"beta"``.
     """
-    if trials < 1:
+    for name, count in (("successes", successes), ("trials", trials)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {count!r}")
+    k, n = int(successes), int(trials)
+    if n < 1:
         raise ValidationError("trials must be >= 1")
-    if not 0 <= successes <= trials:
+    if not 0 <= k <= n:
         raise ValidationError("successes must lie in [0, trials]")
     confidence = check_confidence(confidence, name="confidence")
-    if method == "auto":
-        method = "beta" if _beta_distribution is not None else "hoeffding"
     alpha = 1.0 - confidence
-    k, n = int(successes), int(trials)
-    if method == "beta":
-        if _beta_distribution is None:
-            raise ValidationError("SciPy is unavailable; use method='hoeffding'")
-        low = 0.0 if k == 0 else float(_beta_distribution.ppf(alpha / 2, k, n - k + 1))
-        high = 1.0 if k == n else float(_beta_distribution.ppf(1 - alpha / 2, k + 1, n - k))
+    if method in ("auto", "beta"):
+        from scipy.special import betaincinv
+
+        low = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
+        high = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
     elif method == "hoeffding":
         width = math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
         low = max(0.0, k / n - width)

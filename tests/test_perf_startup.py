@@ -1,0 +1,142 @@
+"""Import guard: ``import repro`` and the serving path load no SciPy.
+
+Importing ``scipy.stats`` and ``scipy.spatial`` took about 1 s of the
+1.3 s a process spent on ``import repro``, and neither the serving path
+nor the audit needs them. Every SciPy import in the package therefore
+sits inside the function that uses it. Each check here runs in a fresh
+interpreter, because this test process has long since loaded SciPy:
+
+* importing every module under ``repro`` loads no ``scipy`` module;
+* a small ``ReleaseService`` fleet on a ``SimulatedClock`` loads none;
+* ``run_audit`` on every family in ``AUDIT_FAMILIES`` loads nothing
+  beyond what ``import scipy.special`` loads (its Clopper–Pearson bounds
+  call ``scipy.special.betaincinv``).
+
+A module-level ``import scipy.stats`` added to any ``repro`` module fails
+the first check.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+_LOADED = (
+    "sorted(name for name in sys.modules "
+    "if name == 'scipy' or name.startswith('scipy.'))"
+)
+
+_PROBE = f"""
+import asyncio, importlib, json, pkgutil, sys
+
+def loaded():
+    return {_LOADED}
+
+def fail(name):
+    raise
+
+import repro
+
+for info in pkgutil.walk_packages(repro.__path__, "repro.", onerror=fail):
+    if info.name.rsplit(".", 1)[-1] != "__main__":
+        importlib.import_module(info.name)
+after_import = loaded()
+
+from repro.exceptions import PrivacyBudgetError, ServingTimeoutError
+from repro.mechanisms import LaplaceMechanism, PrivacySpec
+from repro.serving import ReleaseService, ServiceConfig, SimulatedClock, TenantRegistry
+
+clock = SimulatedClock()
+registry = TenantRegistry()
+for index in range(2):
+    registry.register(f"tenant-{{index}}", PrivacySpec(1.0), seed=index)
+service = ReleaseService(
+    registry, clock=clock, config=ServiceConfig(request_timeout=0.2)
+)
+service.add_mechanism(
+    "count", LaplaceMechanism(sum, sensitivity=1.0, epsilon=0.05)
+)
+outcomes = []
+
+async def client(index):
+    for request in range(4):
+        await clock.sleep(0.004 * (index + request))
+        try:
+            await service.submit(f"tenant-{{index % 2}}", "count", [0, 1, 1])
+            outcomes.append("ok")
+        except (PrivacyBudgetError, ServingTimeoutError) as error:
+            outcomes.append(type(error).__name__)
+
+async def fleet():
+    await asyncio.gather(*(client(index) for index in range(8)))
+    await service.drain()
+
+clock.run(fleet())
+after_serving = loaded()
+
+from repro.testing import AUDIT_FAMILIES, build_audit, run_audit
+
+verdicts = [
+    run_audit(build_audit(family), n_samples=400, random_state=0).satisfied
+    for family in AUDIT_FAMILIES
+]
+after_audit = loaded()
+
+print(json.dumps({{
+    "after_import": after_import,
+    "after_serving": after_serving,
+    "after_audit": after_audit,
+    "outcomes": outcomes,
+    "verdicts": verdicts,
+}}))
+"""
+
+
+def _python(code: str) -> str:
+    env = dict(os.environ)
+    src = str(REPO_ROOT / "src")
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=str(REPO_ROOT),
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.fixture(scope="module")
+def probe() -> dict:
+    return json.loads(_python(_PROBE))
+
+
+def test_importing_every_repro_module_loads_no_scipy(probe):
+    assert probe["after_import"] == []
+
+
+def test_serving_fleet_loads_no_scipy(probe):
+    assert "ok" in probe["outcomes"]
+    assert probe["after_serving"] == []
+
+
+def test_audit_loads_only_scipy_special(probe):
+    special = set(json.loads(
+        _python(f"import json, sys, scipy.special; print(json.dumps({_LOADED}))")
+    ))
+    loaded = set(probe["after_audit"])
+    assert all(probe["verdicts"])
+    assert "scipy.special" in loaded
+    assert "scipy.stats" not in loaded
+    assert loaded <= special, sorted(loaded - special)

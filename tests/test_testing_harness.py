@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.exceptions import DPAuditError, ValidationError
@@ -73,6 +74,26 @@ class TestClopperPearson:
             clopper_pearson_interval(1, 5, confidence=1.0)
         with pytest.raises(ValidationError):
             clopper_pearson_interval(1, 5, method="magic")
+
+    @pytest.mark.parametrize(
+        "successes, trials",
+        [(3, 10.9), (2.5, 10), (3.0, 10), (3, 10.0), (True, 10), (1, True),
+         (np.float64(3), 10), ("3", 10)],
+    )
+    def test_rejects_non_integral_counts(self, successes, trials):
+        # 10.9 trials used to be truncated to 10, and 2.5 successes to 2.
+        with pytest.raises(ValidationError, match="must be an integer"):
+            clopper_pearson_interval(successes, trials)
+
+    def test_accepts_numpy_integers(self):
+        assert clopper_pearson_interval(np.int64(3), np.int32(10)) == (
+            clopper_pearson_interval(3, 10)
+        )
+
+    def test_auto_means_beta(self):
+        assert clopper_pearson_interval(30, 100, method="auto") == (
+            clopper_pearson_interval(30, 100, method="beta")
+        )
 
 
 class TestSeedDerivation:

@@ -113,10 +113,10 @@ class TruncatedBetaBernoulliPosterior(Mechanism):
         )
 
     def _truncated_cdf_bounds(self, alpha: float, beta: float) -> tuple[float, float]:
-        from scipy.stats import beta as beta_distribution
+        from scipy.special import betainc
 
-        low = beta_distribution.cdf(self.truncation, alpha, beta)
-        high = beta_distribution.cdf(1.0 - self.truncation, alpha, beta)
+        low = betainc(alpha, beta, self.truncation)
+        high = betainc(alpha, beta, 1.0 - self.truncation)
         return float(low), float(high)
 
     def release(self, data, random_state=None) -> float:
@@ -125,26 +125,26 @@ class TruncatedBetaBernoulliPosterior(Mechanism):
         Inverse-CDF sampling restricted to the truncation interval — no
         rejection loop, no MCMC error, so the nominal guarantee is exact.
         """
-        from scipy.stats import beta as beta_distribution
+        from scipy.special import betaincinv
 
         rng = check_random_state(random_state)
         alpha, beta = self.posterior_parameters(data)
         low, high = self._truncated_cdf_bounds(alpha, beta)
         u = low + (high - low) * rng.uniform()
-        return float(beta_distribution.ppf(u, alpha, beta))
+        return float(betaincinv(alpha, beta, u))
 
     def posterior_mean(self, data) -> float:
         """Mean of the truncated tempered posterior (itself NOT private —
         it is deterministic in the data; use :meth:`release`)."""
-        from scipy.stats import beta as beta_distribution
+        from scipy.special import betainc
 
         alpha, beta = self.posterior_parameters(data)
         low, high = self._truncated_cdf_bounds(alpha, beta)
         # E[θ | truncated] via the Beta(α+1, β) identity.
         weight = alpha / (alpha + beta)
-        numerator = beta_distribution.cdf(
-            1.0 - self.truncation, alpha + 1, beta
-        ) - beta_distribution.cdf(self.truncation, alpha + 1, beta)
+        numerator = betainc(alpha + 1, beta, 1.0 - self.truncation) - betainc(
+            alpha + 1, beta, self.truncation
+        )
         return float(weight * numerator / (high - low))
 
     def posterior_density(self, data, theta):

@@ -25,9 +25,14 @@ import numpy as np
 
 from repro.distributions.discrete import DiscreteDistribution
 from repro.exceptions import ValidationError
-from repro.information.divergences import binary_kl_inverse, kl_divergence
+from repro.information.divergences import _kl_rows, binary_kl_inverse, kl_divergence
 from repro.utils.numerics import logsumexp
-from repro.utils.validation import check_in_range, check_positive
+from repro.utils.validation import (
+    PROBABILITY_SLACK,
+    check_in_range,
+    check_positive,
+    check_probability_vector,
+)
 
 
 def _check_common(empirical_risk: float, kl: float, n: int, delta: float):
@@ -161,13 +166,24 @@ def minimize_catoni_bound(
     from scipy.optimize import minimize
 
     size = len(prior)
+    if risks.shape[0] != size:
+        raise ValidationError("empirical_risks must match the support size")
+    temperature = check_positive(temperature, name="temperature")
+    prior_probs = prior.probabilities
 
     def objective(logits: np.ndarray) -> float:
+        # ``catoni_objective`` of the softmax posterior, validated once
+        # above: the probability check and the renormalization are those
+        # of ``check_probability_vector``, and a failing vector is handed
+        # to it so that it raises as before.
         shifted = logits - logits.max()
         probs = np.exp(shifted)
         probs /= probs.sum()
-        post = DiscreteDistribution(prior.support, probs)
-        return catoni_objective(post, prior, risks, temperature)
+        total = float(probs.sum())
+        if not abs(total - 1.0) <= PROBABILITY_SLACK:
+            check_probability_vector(probs)
+        probs = probs / total
+        return temperature * float(risks @ probs) + float(_kl_rows(probs, prior_probs))
 
     result = minimize(
         objective,

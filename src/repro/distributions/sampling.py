@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ValidationError
+from repro.utils.numerics import row_sums
 from repro.utils.validation import check_positive, check_random_state
 
 
@@ -354,10 +355,8 @@ class BatchedLangevinSampler:
             proposal_log_density, proposal_grad = self._evaluate(proposal)
             reverse_drift = proposal + half_h2 * proposal_grad
             with np.errstate(invalid="ignore"):
-                log_forward = -inv_2h2 * ((proposal - drift) ** 2).sum(axis=1)
-                log_backward = -inv_2h2 * ((state - reverse_drift) ** 2).sum(
-                    axis=1
-                )
+                log_forward = -inv_2h2 * row_sums((proposal - drift) ** 2)
+                log_backward = -inv_2h2 * row_sums((state - reverse_drift) ** 2)
                 log_ratio = log_acceptance_ratio(
                     proposal_log_density,
                     state_log_density,

@@ -36,6 +36,7 @@ from repro.learning.losses import MarginLoss
 from repro.learning.models import _check_classification_data
 from repro.mechanisms.base import Mechanism, PrivacySpec
 from repro.mechanisms.sensitivity import empirical_risk_sensitivity
+from repro.utils.numerics import row_sums
 from repro.utils.validation import check_positive, check_random_state
 
 
@@ -152,9 +153,10 @@ class RegularizedExponentialMechanism(Mechanism):
         def log_density_and_grad(theta: np.ndarray):
             margins = np.einsum("md,nd->mn", theta, z)
             values, weights = loss.value_and_derivative(margins)
-            squared_norms = (theta * theta).sum(axis=1)
+            squared_norms = row_sums(theta * theta)
+            mean_values = row_sums(values) / values.shape[1]
             log_density = -temperature * (
-                values.mean(axis=1) + 0.5 * regularization * squared_norms
+                mean_values + 0.5 * regularization * squared_norms
             )
             risk_grad = np.einsum("mn,nd->md", weights, z) / n
             grad = -temperature * (risk_grad + regularization * theta)

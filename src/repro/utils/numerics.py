@@ -39,6 +39,31 @@ def logsumexp(log_values, axis=None) -> np.ndarray | float:
     return np.squeeze(out, axis=axis)
 
 
+#: From this many columns numpy sums a row pairwise, with 8 accumulators.
+_PAIRWISE_COLUMNS = 8
+
+
+def row_sums(values: np.ndarray) -> np.ndarray:
+    """``values.sum(axis=1)`` for a 2-D float array, bit for bit, and
+    faster on short rows.
+
+    Below 8 columns numpy adds a row left to right, starting from +0.0,
+    but one row at a time; adding whole columns in the same order gives
+    the same bits at a fraction of the cost. The ``0.0 +`` makes a row of
+    ``-0.0`` sum to ``+0.0``, as numpy does, and each column add
+    allocates (an in-place add on one row takes numpy's reduce path,
+    which can pick the other NaN payload). Wider rows, and empty ones, go
+    to numpy.
+    """
+    width = values.shape[1]
+    if width == 0 or width >= _PAIRWISE_COLUMNS:
+        return values.sum(axis=1)
+    total = 0.0 + values[:, 0]
+    for column in range(1, width):
+        total = total + values[:, column]
+    return total
+
+
 def log_mean_exp(log_values, axis=None) -> np.ndarray | float:
     """Stable ``log(mean(exp(log_values)))``."""
     arr = np.asarray(log_values, dtype=float)

@@ -10,7 +10,9 @@ interpreter, because this test process has long since loaded SciPy:
 * a small ``ReleaseService`` fleet on a ``SimulatedClock`` loads none;
 * ``run_audit`` on every family in ``AUDIT_FAMILIES`` loads nothing
   beyond what ``import scipy.special`` loads (its Clopper–Pearson bounds
-  call ``scipy.special.betaincinv``).
+  call ``scipy.special.betaincinv``);
+* E13's sweep loads no ``scipy.stats``: its truncated Beta posterior reads
+  ``scipy.special.betainc`` and ``betaincinv``.
 
 A module-level ``import scipy.stats`` added to any ``repro`` module fails
 the first check.
@@ -99,6 +101,18 @@ print(json.dumps({{
 """
 
 
+_E13_PROBE = f"""
+import json, sys
+
+from repro.experiments import expand_grid, get_experiment, load_bench_spec
+
+spec = load_bench_spec(get_experiment("E13"))
+for parameters in expand_grid(spec.grid, spec.fixed):
+    spec.case(**parameters)
+print(json.dumps({_LOADED}))
+"""
+
+
 def _python(code: str) -> str:
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
@@ -140,3 +154,9 @@ def test_audit_loads_only_scipy_special(probe):
     assert "scipy.special" in loaded
     assert "scipy.stats" not in loaded
     assert loaded <= special, sorted(loaded - special)
+
+
+def test_e13_sweep_loads_no_scipy_stats():
+    loaded = json.loads(_python(_E13_PROBE))
+    assert "scipy.special" in loaded
+    assert "scipy.stats" not in loaded, sorted(loaded)

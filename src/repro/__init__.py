@@ -35,7 +35,6 @@ from repro.exceptions import (
     NotFittedError,
     PrivacyBudgetError,
     ReproError,
-    SensitivityError,
     ValidationError,
 )
 from repro.distributions import DiscreteDistribution
@@ -64,7 +63,6 @@ from repro.learning import (
     GaussianThresholdTask,
     LinearSVM,
     LogisticRegressionModel,
-    LogisticTask,
     PredictorGrid,
     TwoGaussiansTask,
 )
@@ -110,7 +108,6 @@ __all__ = [
     "LearningChannel",
     "LinearSVM",
     "LogisticRegressionModel",
-    "LogisticTask",
     "Mechanism",
     "NotFittedError",
     "ObjectivePerturbationClassifier",
@@ -122,7 +119,6 @@ __all__ = [
     "RandomizedResponse",
     "RegularizedExponentialMechanism",
     "ReproError",
-    "SensitivityError",
     "StatisticalAuditReport",
     "TwoGaussiansTask",
     "ValidationError",

@@ -10,18 +10,13 @@ vectorization, exception taint, and dead-sanitizer detection.
 
 Run it as ``python -m repro.analysis src/repro`` or ``repro lint``
 (``--jobs N`` for parallel analysis, ``--format sarif`` for code-scanning
-upload, ``--baseline`` for a committed allowlist); see
+upload). Findings are suppressed only by inline
+``# dplint: disable=<rule> -- why`` pragmas (:mod:`repro.analysis.pragmas`); see
 ``docs/STATIC_ANALYSIS.md`` for the rule catalog and the DP failure mode
 each rule guards against.
 """
 
 from repro.analysis.base import ImportTracker, ModuleContext, Rule, dotted_name
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineEntry,
-    apply_baseline,
-    normalize_path,
-)
 from repro.analysis.config import (
     AnalysisConfig,
     RuleConfig,
@@ -59,8 +54,6 @@ __all__ = [
     "AnalysisConfig",
     "AnalysisReport",
     "Analyzer",
-    "Baseline",
-    "BaselineEntry",
     "FORMATS",
     "Finding",
     "ImportTracker",
@@ -75,7 +68,6 @@ __all__ = [
     "analyze_paths_parallel",
     "analyze_source",
     "analyze_sources_parallel",
-    "apply_baseline",
     "config_from_mapping",
     "discover_pyproject",
     "dotted_name",
@@ -88,7 +80,6 @@ __all__ = [
     "known_rule_keys",
     "load_pyproject_config",
     "nearest_rule_key",
-    "normalize_path",
     "package_parts",
     "pragma_findings",
     "register",

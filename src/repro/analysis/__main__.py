@@ -20,10 +20,19 @@ from repro.analysis.reporting import FORMATS, format_report, format_rule_catalog
 from repro.exceptions import ConfigurationError, ValidationError
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Argument parser shared with the ``repro lint`` subcommand."""
+def build_parser(
+    prog: str = "python -m repro.analysis",
+) -> argparse.ArgumentParser:
+    """The one dplint argument parser, behind both ``python -m
+    repro.analysis`` and ``repro lint``.
+
+    Parameters
+    ----------
+    prog:
+        Program name shown in usage and help text.
+    """
     parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
+        prog=prog,
         description=(
             "dplint: static analysis of differential-privacy invariants "
             "(RNG discipline, parameter validation, sampler hygiene, "
@@ -63,18 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="analyze files across N processes (output is identical to "
         "serial; default: the CPU count)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings recorded in this baseline JSON file; "
-        "stale entries are reported",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write the current findings to FILE as a baseline (merging "
-        "justifications from an existing file) and exit 0",
     )
     parser.add_argument(
         "--config",
@@ -133,11 +130,22 @@ def _load_config(args: argparse.Namespace) -> AnalysisConfig:
     return config
 
 
-def execute(args: argparse.Namespace) -> int:
-    """Shared implementation behind ``python -m repro.analysis`` and
-    ``repro lint``: run the analyzer per parsed arguments, print the
-    report, return a process exit code (0 clean, 1 findings, 2 usage).
+def run(
+    argv: Sequence[str] | None = None, *, prog: str = "python -m repro.analysis"
+) -> int:
+    """Parse arguments, run the analyzer and print its report; return a
+    process exit code (0 clean, 1 findings, 2 usage). Both ``python -m
+    repro.analysis`` and ``repro lint`` land here.
+
+    Parameters
+    ----------
+    argv:
+        Argument list (defaults to ``sys.argv[1:]``).
+    prog:
+        Program name shown in usage and help text (``repro lint`` passes
+        its own).
     """
+    args = build_parser(prog).parse_args(argv)
     if args.list_rules:
         print(format_rule_catalog())
         return 0
@@ -163,31 +171,6 @@ def execute(args: argparse.Namespace) -> int:
             report = analyze_paths_parallel(paths, config, jobs=args.jobs)
         else:
             report = Analyzer(config=config).analyze_paths(paths)
-        if args.write_baseline:
-            from repro.analysis.baseline import Baseline
-
-            justifications = {}
-            existing = None
-            try:
-                existing = Baseline.load(args.write_baseline)
-            except ConfigurationError:
-                existing = None
-            if existing is not None:
-                justifications = {
-                    entry.key: entry.justification for entry in existing.entries
-                }
-            Baseline.from_findings(
-                report.findings, justifications=justifications
-            ).save(args.write_baseline)
-            print(
-                f"dplint: wrote baseline with "
-                f"{len(report.findings)} finding(s) to {args.write_baseline}"
-            )
-            return 0
-        if args.baseline:
-            from repro.analysis.baseline import Baseline, apply_baseline
-
-            report = apply_baseline(report, Baseline.load(args.baseline))
     except ValidationError as error:
         # ConfigurationError subclasses ValidationError: both are usage
         # problems, not findings, so they share exit code 2.
@@ -195,17 +178,6 @@ def execute(args: argparse.Namespace) -> int:
         return 2
     print(format_report(report, args.format))
     return report.exit_code
-
-
-def run(argv: Sequence[str] | None = None) -> int:
-    """Parse arguments and run the analyzer (console entry point).
-
-    Parameters
-    ----------
-    argv:
-        Argument list (defaults to ``sys.argv[1:]``).
-    """
-    return execute(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -47,18 +47,11 @@ class AnalysisReport:
         Number of Python files parsed.
     suppressed_count:
         Findings hidden by ``# dplint: disable`` pragmas.
-    baselined_count:
-        Findings hidden by the suppression baseline file.
-    stale_baseline:
-        Baseline entries that matched nothing — fixed findings whose
-        entries should be removed from the baseline file.
     """
 
     findings: list[Finding] = field(default_factory=list)
     files_checked: int = 0
     suppressed_count: int = 0
-    baselined_count: int = 0
-    stale_baseline: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:

@@ -26,12 +26,9 @@ def format_text(report: AnalysisReport) -> str:
     summary = ", ".join(
         f"{counts[name]} {name}" for name in ("error", "warning", "info") if name in counts
     )
-    hidden = []
-    if report.suppressed_count:
-        hidden.append(f"{report.suppressed_count} suppressed")
-    if report.baselined_count:
-        hidden.append(f"{report.baselined_count} baselined")
-    hidden_note = f" ({', '.join(hidden)})" if hidden else ""
+    hidden_note = (
+        f" ({report.suppressed_count} suppressed)" if report.suppressed_count else ""
+    )
     if report.ok:
         lines.append(
             f"dplint: {report.files_checked} file(s) checked, no findings"
@@ -42,8 +39,6 @@ def format_text(report: AnalysisReport) -> str:
             f"dplint: {report.files_checked} file(s) checked, "
             f"{len(report.findings)} finding(s): {summary}{hidden_note}"
         )
-    for entry in report.stale_baseline:
-        lines.append(f"dplint: stale baseline entry (fixed? remove it): {entry}")
     return "\n".join(lines)
 
 
@@ -58,8 +53,6 @@ def format_json(report: AnalysisReport) -> str:
     payload = {
         "files_checked": report.files_checked,
         "suppressed": report.suppressed_count,
-        "baselined": report.baselined_count,
-        "stale_baseline": list(report.stale_baseline),
         "ok": report.ok,
         "summary": {
             "by_severity": report.count_by_severity(),

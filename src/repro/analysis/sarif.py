@@ -4,8 +4,8 @@ SARIF (Static Analysis Results Interchange Format) is what code-scanning
 UIs ingest; emitting it lets the privacy lint annotate pull requests like
 any other analyzer. The document carries the full rule catalog in
 ``tool.driver.rules`` (so viewers can show descriptions and rationale) and
-one ``result`` per finding, emitted **after** baseline filtering — the
-upload should only show actionable findings.
+one ``result`` per finding that survived pragma suppression — the upload
+should only show actionable findings.
 """
 
 from __future__ import annotations
@@ -99,8 +99,7 @@ def sarif_payload(report: AnalysisReport) -> dict[str, Any]:
     Parameters
     ----------
     report:
-        Analyzer outcome — apply the baseline first so the document only
-        carries actionable findings.
+        Analyzer outcome; pragma-suppressed findings are not in it.
     """
     rules, rule_index = _rule_catalog()
     return {

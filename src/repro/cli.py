@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
 from pathlib import Path
 
@@ -246,52 +245,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text"
     )
 
-    lint = sub.add_parser(
-        "lint", help="run the dplint static analyzer over the source tree"
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to analyze (default: the installed "
-        "repro package)",
-    )
-    lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text"
-    )
-    lint.add_argument("--select", action="append", default=[], metavar="RULE")
-    lint.add_argument("--ignore", action="append", default=[], metavar="RULE")
-    lint.add_argument(
-        "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        metavar="N",
-        help="analyze files across N processes (output identical to serial; "
-        "default: the CPU count)",
-    )
-    lint.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings recorded in this baseline JSON file",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="write current findings to FILE as a suppression baseline",
-    )
-    lint.add_argument(
-        "--config",
-        metavar="FILE",
-        help="read [tool.dplint] from this pyproject.toml",
-    )
-    lint.add_argument(
-        "--no-config",
-        action="store_true",
-        help="ignore any pyproject.toml [tool.dplint] section",
-    )
-    lint.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalog and exit",
+    # Listed here for ``repro --help`` only: ``main`` hands everything after
+    # ``lint`` to dplint's own parser (``repro.analysis.__main__``), so its
+    # flags are declared once.
+    sub.add_parser(
+        "lint",
+        help="run the dplint static analyzer over the source tree "
+        "(see repro lint --help)",
     )
     return parser
 
@@ -850,12 +810,6 @@ def _cmd_release(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    from repro.analysis.__main__ import execute
-
-    return execute(args)
-
-
 def _cmd_trace(args) -> int:
     import json
 
@@ -884,12 +838,18 @@ _COMMANDS = {
     "release": _cmd_release,
     "serve": _cmd_serve,
     "loadtest": _cmd_loadtest,
-    "lint": _cmd_lint,
 }
 
 
 def main(argv=None) -> int:
     """Entry point; returns a process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        # Imported lazily: dplint's entry point loads multiprocessing and
+        # the whole analyzer, which no other command needs.
+        from repro.analysis.__main__ import run
+
+        return run(argv[1:], prog="repro lint")
     args = _build_parser().parse_args(argv)
     return _COMMANDS[args.command](args)
 

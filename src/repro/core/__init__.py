@@ -4,11 +4,14 @@ information-theoretic view of differentially-private learning.
 * :mod:`repro.core.gibbs` — the Gibbs posterior/estimator (Lemma 3.2,
   Theorem 4.1);
 * :mod:`repro.core.pac_bayes` — Catoni/McAllester/Seeger bounds
-  (Theorem 3.1) and their minimization;
+  (Theorem 3.1), their minimization, and Zhang's oracle bound;
 * :mod:`repro.core.tradeoff` — mutual-information-regularized risk
   minimization and its Gibbs fixed point (Theorem 4.2);
-* :mod:`repro.core.channel` — the learning channel of Figure 1;
-* :mod:`repro.core.theorems` — executable checks of each claim.
+* :mod:`repro.core.channel` — the learning channel of Figure 1.
+
+The claims are asserted by the experiments in ``benchmarks/``: Theorem 4.1
+by E4 through the exact auditor (:class:`repro.privacy.ExactPrivacyAuditor`),
+Lemma 3.2 by E3 and Theorem 4.2 by E5.
 """
 
 from repro.core.gibbs import (
@@ -24,6 +27,7 @@ from repro.core.pac_bayes import (
     catoni_bound_in_expectation,
     catoni_objective,
     evaluate_all_bounds,
+    gibbs_oracle_bound,
     mcallester_bound,
     minimize_catoni_bound,
     seeger_bound,
@@ -54,13 +58,6 @@ from repro.core.model_selection import (
     select_temperature_by_bound,
     select_temperature_private,
 )
-from repro.core.theorems import (
-    TheoremReport,
-    check_exponential_mechanism_privacy,
-    check_gibbs_bound_optimality,
-    check_gibbs_privacy,
-    check_tradeoff_fixed_point,
-)
 
 __all__ = [
     "BoundReport",
@@ -70,20 +67,16 @@ __all__ = [
     "LearningChannel",
     "PrivateSelectionRelease",
     "TemperatureSelection",
-    "TheoremReport",
     "TruncatedBetaBernoulliPosterior",
     "TradeoffPoint",
     "TradeoffResult",
     "catoni_bound",
     "catoni_bound_in_expectation",
     "catoni_objective",
-    "check_exponential_mechanism_privacy",
-    "check_gibbs_bound_optimality",
-    "check_gibbs_privacy",
-    "check_tradeoff_fixed_point",
     "evaluate_all_bounds",
     "exact_generalization_gap",
     "generalization_report",
+    "gibbs_oracle_bound",
     "mcallester_bound",
     "minimize_catoni_bound",
     "minimize_tradeoff",

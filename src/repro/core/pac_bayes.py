@@ -15,6 +15,8 @@ with probability at least 1-δ over the draw of the size-n sample,
 * :func:`mcallester_bound` — the classical square-root bound.
 * :func:`seeger_bound` — the binary-KL (Langford–Seeger) bound, usually
   the tightest of the three.
+* :func:`gibbs_oracle_bound` — Zhang's in-expectation oracle bound on the
+  Gibbs estimator's true risk (the paper's reference 12).
 """
 
 from __future__ import annotations
@@ -142,6 +144,37 @@ def optimal_objective_value(
     """Closed-form minimum: ``-log E_π exp(-λ R̂)`` (the free energy × λ)."""
     risks = np.asarray(empirical_risks, dtype=float)
     return float(-logsumexp(prior.log_probabilities - temperature * risks))
+
+
+def gibbs_oracle_bound(
+    prior: DiscreteDistribution,
+    true_risks,
+    temperature: float,
+    n: int,
+    *,
+    loss_range: float = 1.0,
+) -> float:
+    """Zhang-style oracle bound on the *expected true risk* of the Gibbs
+    estimator (the paper's reference 12, in-expectation form):
+
+        ``E_Ẑ E_{θ~π̂_λ} R(θ)  ≤  min_ρ { E_ρ R + KL(ρ‖π)/λ }
+                                   + λ·loss_range² / (8n)``.
+
+    The first term has the closed form ``-(1/λ)·log E_π e^{-λR}`` (the
+    free energy of the *true* risks); the second is the Hoeffding price
+    of estimating R by R̂ from n samples.
+    """
+    risks = np.asarray(true_risks, dtype=float)
+    temperature = check_positive(temperature, name="temperature")
+    if n < 1:
+        raise ValidationError("n must be >= 1")
+    loss_range = check_positive(loss_range, name="loss_range")
+
+    oracle_term = (
+        -logsumexp(prior.log_probabilities - temperature * risks) / temperature
+    )
+    estimation_term = temperature * loss_range**2 / (8.0 * n)
+    return float(oracle_term + estimation_term)
 
 
 def minimize_catoni_bound(

@@ -34,10 +34,6 @@ class PrivacyBudgetError(ReproError):
     """A privacy accountant was asked to exceed its remaining budget."""
 
 
-class SensitivityError(ReproError):
-    """A sensitivity value is missing, non-finite, or inconsistent."""
-
-
 class ConvergenceError(ReproError):
     """An iterative solver failed to converge within its iteration budget."""
 

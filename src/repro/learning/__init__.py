@@ -21,7 +21,6 @@ from repro.learning.datasets import (
     BernoulliTask,
     GaussianThresholdTask,
     LinearRegressionTask,
-    LogisticTask,
     SyntheticTask,
     TwoGaussiansTask,
 )
@@ -37,10 +36,7 @@ from repro.learning.models import (
 )
 from repro.learning.evaluation import (
     ConfusionMatrix,
-    CrossValidationResult,
     auc,
-    cross_validate,
-    k_fold_indices,
     roc_points,
     train_test_split,
 )
@@ -61,7 +57,6 @@ __all__ = [
     "AbsoluteLoss",
     "BernoulliTask",
     "ConfusionMatrix",
-    "CrossValidationResult",
     "GaussianThresholdTask",
     "HingeLoss",
     "HuberHingeLoss",
@@ -69,7 +64,6 @@ __all__ = [
     "LinearSVM",
     "LogisticLoss",
     "LogisticRegressionModel",
-    "LogisticTask",
     "MarginLoss",
     "OptimizeResult",
     "PredictorGrid",
@@ -84,12 +78,10 @@ __all__ = [
     "auc",
     "clip_to_unit_ball",
     "clip_values",
-    "cross_validate",
     "empirical_risk",
     "empirical_risk_matrix",
     "erm_minimizer",
     "gradient_descent",
-    "k_fold_indices",
     "newton_method",
     "roc_points",
     "symmetrize_labels",

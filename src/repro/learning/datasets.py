@@ -177,62 +177,6 @@ class TwoGaussiansTask(SyntheticTask):
         return float(norm.cdf(-np.linalg.norm(self.mean)))
 
 
-class LogisticTask(SyntheticTask):
-    """Well-specified logistic model over the unit ball.
-
-    ``X`` uniform on the unit ball in R^d (so ‖x‖ ≤ 1 as private ERM
-    requires), ``P(y = +1 | x) = sigmoid(⟨θ*, x⟩)``. True risks are
-    computed by Monte Carlo against a large fixed-seed evaluation sample.
-    """
-
-    def __init__(self, theta_star, *, eval_size: int = 200_000, eval_seed: int = 7) -> None:
-        self.theta_star = np.asarray(theta_star, dtype=float)
-        if self.theta_star.ndim != 1 or self.theta_star.size == 0:
-            raise ValidationError("theta_star must be a nonempty 1-D vector")
-        if eval_size < 1_000:
-            raise ValidationError("eval_size must be >= 1000")
-        self._eval_size = int(eval_size)
-        self._eval_seed = int(eval_seed)
-        self._eval_cache: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def dimension(self) -> int:
-        return self.theta_star.shape[0]
-
-    def _sample_ball(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        directions = rng.normal(size=(n, self.dimension))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        radii = rng.uniform(size=(n, 1)) ** (1.0 / self.dimension)
-        return directions * radii
-
-    def sample(self, n: int, random_state=None) -> tuple[np.ndarray, np.ndarray]:
-        """n rows: x uniform on the unit ball, y ~ logistic(⟨θ*, x⟩)."""
-        n = self._check_n(n)
-        rng = check_random_state(random_state)
-        x = self._sample_ball(n, rng)
-        probabilities = 1.0 / (1.0 + np.exp(-(x @ self.theta_star)))
-        y = np.where(rng.uniform(size=n) < probabilities, 1, -1)
-        return x, y
-
-    def _evaluation_sample(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eval_cache is None:
-            self._eval_cache = self.sample(
-                self._eval_size, random_state=self._eval_seed
-            )
-        return self._eval_cache
-
-    def true_zero_one_risk(self, theta) -> float:
-        """Monte-Carlo 0-1 risk of the linear predictor against Q."""
-        theta = np.asarray(theta, dtype=float)
-        x, y = self._evaluation_sample()
-        margins = y * (x @ theta)
-        return float((margins <= 0).mean())
-
-    def bayes_zero_one_risk(self) -> float:
-        """Risk of the true parameter θ* (the Bayes-optimal direction)."""
-        return self.true_zero_one_risk(self.theta_star)
-
-
 class LinearRegressionTask(SyntheticTask):
     """Linear-Gaussian regression over the unit ball.
 

@@ -1,14 +1,12 @@
-"""Model evaluation utilities: splits, cross-validation, metrics.
+"""Model evaluation utilities: splits and metrics.
 
 The glue a downstream user needs around the learners: deterministic
-train/test splits, k-fold cross-validation that works with any estimator
-exposing ``fit(x, y)`` + ``predict(x)``, and the standard binary
-classification metrics for {-1, +1} labels.
+train/test splits and the standard binary classification metrics for
+{-1, +1} labels.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,72 +31,6 @@ def train_test_split(
     n_test = min(n_test, x.shape[0] - 1)
     test_idx, train_idx = order[:n_test], order[n_test:]
     return x[train_idx], y[train_idx], x[test_idx], y[test_idx]
-
-
-def k_fold_indices(n: int, k: int, *, random_state=None):
-    """Yield ``(train_indices, test_indices)`` for k shuffled folds."""
-    if k < 2 or k > n:
-        raise ValidationError("need 2 <= k <= n")
-    rng = check_random_state(random_state)
-    order = rng.permutation(n)
-    folds = np.array_split(order, k)
-    for i in range(k):
-        test = folds[i]
-        train = np.concatenate([folds[j] for j in range(k) if j != i])
-        yield train, test
-
-
-@dataclass
-class CrossValidationResult:
-    """Per-fold scores of one estimator."""
-
-    scores: list[float]
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.scores))
-
-    @property
-    def std(self) -> float:
-        return float(np.std(self.scores))
-
-    def __str__(self) -> str:
-        return f"{self.mean:.4f} ± {self.std:.4f} over {len(self.scores)} folds"
-
-
-def cross_validate(
-    make_estimator: Callable[[], object],
-    x,
-    y,
-    *,
-    k: int = 5,
-    score: Callable | None = None,
-    random_state=None,
-) -> CrossValidationResult:
-    """k-fold cross-validation of any fit/predict estimator.
-
-    Parameters
-    ----------
-    make_estimator:
-        Zero-argument factory returning a fresh estimator per fold (so
-        folds never share state).
-    score:
-        ``score(estimator, x_test, y_test) -> float``; defaults to
-        accuracy via the estimator's own ``accuracy`` method.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if score is None:
-        def score(est, xt, yt):
-            return float(est.accuracy(xt, yt))
-    scores = []
-    for train_idx, test_idx in k_fold_indices(
-        x.shape[0], k, random_state=random_state
-    ):
-        estimator = make_estimator()
-        estimator.fit(x[train_idx], y[train_idx])
-        scores.append(float(score(estimator, x[test_idx], y[test_idx])))
-    return CrossValidationResult(scores=scores)
 
 
 @dataclass

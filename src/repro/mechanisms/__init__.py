@@ -20,10 +20,7 @@ from repro.mechanisms.smooth_sensitivity import SmoothSensitivityMedian
 from repro.mechanisms.histogram import LinearQueryWorkload, PrivateHistogram
 from repro.mechanisms.continual import NaivePrefixRelease, TreeAggregator
 from repro.mechanisms.quantile import ExponentialQuantile
-from repro.mechanisms.sensitivity import (
-    global_sensitivity,
-    empirical_risk_sensitivity,
-)
+from repro.mechanisms.sensitivity import empirical_risk_sensitivity
 from repro.mechanisms.composition import (
     advanced_composition,
     parallel_composition,
@@ -52,7 +49,6 @@ __all__ = [
     "VectorLaplaceMechanism",
     "advanced_composition",
     "empirical_risk_sensitivity",
-    "global_sensitivity",
     "parallel_composition",
     "sequential_composition",
 ]

@@ -1,127 +1,13 @@
-"""Global-sensitivity calculus (Definition 2.2 of the paper).
+"""Global sensitivity of the empirical risk (Definition 2.2 of the paper).
 
-``Δf = max_{D ~ D'} ‖f(D) - f(D')‖₁`` over neighbouring datasets. Exact
-enumeration for small finite universes; a substitution-based empirical
-maximizer for larger domains; and closed forms for the empirical risk
-(the quantity Theorem 4.1 needs).
+``Δf = max_{D ~ D'} ‖f(D) - f(D')‖₁`` over neighbouring datasets; for the
+empirical risk of a bounded loss it has the closed form Theorem 4.1 needs.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Callable, Sequence
-
-import numpy as np
-
-from repro.exceptions import SensitivityError, ValidationError
-from repro.utils.validation import check_positive, check_random_state
-
-
-def _as_vector(value) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.ndim != 1:
-        raise ValidationError("query outputs must be scalars or 1-D vectors")
-    return arr
-
-
-def global_sensitivity(
-    query: Callable[[Sequence], object],
-    universe: Sequence,
-    n: int,
-    *,
-    ordered: bool = True,
-) -> float:
-    """Exact global L1 sensitivity of ``query`` on datasets of size ``n``.
-
-    Enumerates every dataset ``D ∈ universe^n`` and every single-record
-    substitution. Exponential in ``n`` — intended for the small, exactly
-    checkable universes the experiments use. For ``ordered=False`` the
-    neighbour relation treats datasets as multisets (enumeration over
-    combinations-with-replacement), which is cheaper and matches
-    exchangeable queries.
-
-    Parameters
-    ----------
-    query:
-        Function mapping a dataset (list of records) to a scalar or 1-D
-        vector.
-    universe:
-        Record domain enumerated over.
-    n:
-        Dataset size.
-    ordered:
-        Whether datasets are ordered tuples (True) or multisets (False).
-    """
-    universe = list(universe)
-    if not universe:
-        raise ValidationError("universe must not be empty")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-
-    iterator = (
-        itertools.product(universe, repeat=n)
-        if ordered
-        else itertools.combinations_with_replacement(universe, n)
-    )
-    worst = 0.0
-    for dataset in iterator:
-        base = _as_vector(query(list(dataset)))
-        for position in range(n):
-            for replacement in universe:
-                if replacement == dataset[position]:
-                    continue
-                neighbour = list(dataset)
-                neighbour[position] = replacement
-                gap = float(np.abs(base - _as_vector(query(neighbour))).sum())
-                worst = max(worst, gap)
-    if not np.isfinite(worst):
-        raise SensitivityError("query sensitivity is not finite on this universe")
-    return worst
-
-
-def estimate_sensitivity(
-    query: Callable[[Sequence], object],
-    sample_datasets: Sequence[Sequence],
-    universe: Sequence,
-    *,
-    substitutions_per_dataset: int = 32,
-    random_state=None,
-) -> float:
-    """Lower-bound the global sensitivity by random record substitutions.
-
-    Useful as a sanity check against a claimed closed form: the estimate can
-    never exceed the true sensitivity, so ``estimate > claimed`` proves the
-    claim wrong.
-
-    Parameters
-    ----------
-    query:
-        Function mapping a dataset to a scalar or 1-D vector.
-    sample_datasets:
-        Starting datasets the substitutions are applied to.
-    universe:
-        Record domain replacements are drawn from.
-    substitutions_per_dataset:
-        Random substitutions tried per starting dataset.
-    random_state:
-        Seed or Generator for the substitution draws.
-    """
-    universe = list(universe)
-    rng = check_random_state(random_state)
-    worst = 0.0
-    for dataset in sample_datasets:
-        dataset = list(dataset)
-        if not dataset:
-            raise ValidationError("datasets must be nonempty")
-        base = _as_vector(query(dataset))
-        for _ in range(substitutions_per_dataset):
-            position = int(rng.integers(len(dataset)))
-            replacement = universe[int(rng.integers(len(universe)))]
-            neighbour = list(dataset)
-            neighbour[position] = replacement
-            gap = float(np.abs(base - _as_vector(query(neighbour))).sum())
-            worst = max(worst, gap)
-    return worst
+from repro.exceptions import ValidationError
+from repro.utils.validation import check_positive
 
 
 def empirical_risk_sensitivity(loss_range: float, n: int) -> float:
@@ -143,24 +29,3 @@ def empirical_risk_sensitivity(loss_range: float, n: int) -> float:
     if n < 1:
         raise ValidationError("n must be >= 1")
     return loss_range / float(n)
-
-
-def count_query_sensitivity() -> float:
-    """Sensitivity of a counting query under record substitution (= 1)."""
-    return 1.0
-
-
-def mean_query_sensitivity(value_range: float, n: int) -> float:
-    """Sensitivity of a bounded mean: ``value_range / n``.
-
-    Parameters
-    ----------
-    value_range:
-        Width of the interval each value lies in.
-    n:
-        Sample size.
-    """
-    value_range = check_positive(value_range, name="value_range")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    return value_range / float(n)

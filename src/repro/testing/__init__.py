@@ -10,7 +10,7 @@ This package turns those statements into executable audits:
 * :mod:`repro.testing.neighbors` — worst-case neighbour pair generators
   per mechanism family;
 * :mod:`repro.testing.statistical` — the test policy: derived seeds,
-  confidence levels, bounded retries, sample-size calculators;
+  confidence levels, bounded retries;
 * :mod:`repro.testing.registry` — named audit cases shared by the
   ``repro audit`` CLI and the ``pytest -m statistical`` tier;
 * :mod:`repro.testing.plugin` — the pytest plugin exposing the
@@ -44,8 +44,6 @@ from repro.testing.statistical import (
     DEFAULT_POLICY,
     StatisticalPolicy,
     derive_seed,
-    samples_to_separate,
-    samples_to_witness,
 )
 
 __all__ = [
@@ -65,8 +63,6 @@ __all__ = [
     "estimate_epsilon_lower_bound",
     "extreme_record_pair",
     "run_audit",
-    "samples_to_separate",
-    "samples_to_witness",
     "score_gap_pair",
     "substitution_pairs",
 ]

@@ -1,4 +1,4 @@
-"""Statistical test policy: seeds, tolerances, retries, sample sizes.
+"""Statistical test policy: seeds, tolerances, retries.
 
 Monte-Carlo verification of a privacy guarantee is a hypothesis test, and a
 test suite full of hypothesis tests needs an explicit policy or it flakes:
@@ -18,11 +18,10 @@ derived (never wall-clock), the whole tier is bit-for-bit reproducible.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 from repro.exceptions import ValidationError
-from repro.utils.validation import check_confidence, check_positive
+from repro.utils.validation import check_confidence
 
 #: Default base seed for the statistical tier (the workshop date, matching
 #: the fixture convention in ``tests/conftest.py``).
@@ -118,78 +117,3 @@ class StatisticalPolicy:
 
 #: The policy the shipped statistical tier runs under.
 DEFAULT_POLICY = StatisticalPolicy()
-
-
-def samples_to_witness(event_probability: float, confidence: float) -> int:
-    """Draws needed to observe an event at least once with high probability.
-
-    Solves ``1 - (1 - p)^n >= confidence`` for ``n``: the minimum number of
-    i.i.d. draws so that an event of probability ``event_probability``
-    appears at least once with probability ``confidence``. A violation
-    concentrated on an event the sampler never sees is invisible to any
-    frequency-based audit, so this is the floor on audit sample sizes.
-
-    Parameters
-    ----------
-    event_probability:
-        Probability of the rarest event the audit must be able to see.
-    confidence:
-        Required probability of witnessing it at least once.
-    """
-    probability = check_confidence(event_probability, name="event_probability")
-    confidence = check_confidence(confidence, name="confidence")
-    return int(math.ceil(math.log1p(-confidence) / math.log1p(-probability)))
-
-
-def samples_to_separate(
-    p: float,
-    q: float,
-    target_epsilon: float,
-    confidence: float,
-) -> int:
-    """Per-dataset draws for a certified log-ratio above ``target_epsilon``.
-
-    If an event truly has probabilities ``p`` and ``q`` on the two
-    neighbouring datasets with ``log(p/q) > target_epsilon``, this returns
-    a sample size at which Hoeffding confidence bounds at level
-    ``confidence`` separate the certified lower bound
-    ``log((p - w) / (q + w))`` from ``target_epsilon``, where
-    ``w = sqrt(log(1/alpha) / (2 n))``. Hoeffding is looser than the
-    Clopper–Pearson bounds the auditor actually uses, so the answer is a
-    safe (conservative) planning figure.
-
-    Parameters
-    ----------
-    p:
-        True event probability on the first dataset.
-    q:
-        True event probability on the second dataset (``q < p``).
-    target_epsilon:
-        The claimed ε the audit must certifiably exceed.
-    confidence:
-        Certification level of the audit.
-
-    Raises
-    ------
-    ValidationError
-        If the true log-ratio does not exceed ``target_epsilon`` — no
-        sample size can certify a separation that is not there.
-    """
-    p = check_confidence(p, name="p")
-    q = check_confidence(q, name="q")
-    target_epsilon = check_positive(target_epsilon, name="target_epsilon")
-    confidence = check_confidence(confidence, name="confidence")
-    if math.log(p / q) <= target_epsilon:
-        raise ValidationError(
-            "log(p/q) must exceed target_epsilon for a separation to exist"
-        )
-    alpha = 1.0 - confidence
-    n = 16
-    while n < 2**34:
-        width = math.sqrt(math.log(1.0 / alpha) / (2.0 * n))
-        if p - width > 0 and math.log((p - width) / (q + width)) > target_epsilon:
-            return n
-        n *= 2
-    raise ValidationError(
-        "no feasible sample size below 2^34; the margin is too thin"
-    )

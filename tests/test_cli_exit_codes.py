@@ -14,11 +14,13 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
+from repro.analysis.__main__ import run as lint_run
 from repro.cli import main
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -55,18 +57,7 @@ class TestLintExitCodes:
     def test_clean_tree_exits_zero(self):
         import repro
 
-        baseline = REPO_ROOT / "benchmarks" / "dplint_baseline.json"
-        assert (
-            main(
-                [
-                    "lint",
-                    "--baseline",
-                    str(baseline),
-                    str(next(iter(repro.__path__))),
-                ]
-            )
-            == 0
-        )
+        assert main(["lint", str(next(iter(repro.__path__)))]) == 0
 
     def test_findings_exit_one(self, tmp_path):
         assert main(["lint", str(_violating_file(tmp_path))]) == 1
@@ -85,6 +76,30 @@ class TestLintExitCodes:
         result = _run_module("lint", str(_violating_file(tmp_path)))
         assert result.returncode == 1
         assert "DPL003" in result.stdout
+
+    @pytest.mark.parametrize("flag", ["--baseline", "--write-baseline"])
+    @pytest.mark.parametrize(
+        "run, prefix",
+        [(main, ["lint"]), (lint_run, [])],
+        ids=["repro-lint", "repro.analysis"],
+    )
+    def test_baseline_flags_are_gone(self, run, prefix, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run([*prefix, flag, "x.json"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_one_parser_behind_both_entry_points(self, capsys):
+        def flags(run, argv):
+            with pytest.raises(SystemExit) as excinfo:
+                run(argv)
+            assert excinfo.value.code == 0
+            out = capsys.readouterr().out
+            return sorted(set(re.findall(r"--[a-z][a-z-]*", out)))
+
+        repro_flags = flags(main, ["lint", "--help"])
+        assert repro_flags == flags(lint_run, ["--help"])
+        assert "--jobs" in repro_flags and "--baseline" not in repro_flags
 
 
 class TestAuditExitCodes:

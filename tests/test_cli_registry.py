@@ -84,8 +84,7 @@ class TestCliLint:
         import repro
 
         package_dir = str(pathlib.Path(next(iter(repro.__path__))))
-        baseline = str(REPO_ROOT / "benchmarks" / "dplint_baseline.json")
-        assert main(["lint", "--baseline", baseline, package_dir]) == 0
+        assert main(["lint", package_dir]) == 0
         out = capsys.readouterr().out
         assert "no findings" in out
 

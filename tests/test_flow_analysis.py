@@ -2,7 +2,7 @@
 
 Covers the project model / symbol resolution / call graph, the taint
 engine, each flow rule (DPL007–DPL012) on true-positive and true-negative
-fixtures, the suppression baseline, SARIF rendering, the parallel
+fixtures, SARIF rendering, the parallel
 analyzer's byte-identity guarantee, configuration validation (programmatic
 and pyproject), file collection, and pragma edge cases.
 """
@@ -15,16 +15,12 @@ import pytest
 from repro.analysis import (
     AnalysisConfig,
     Analyzer,
-    Baseline,
-    BaselineEntry,
     analyze_source,
     analyze_sources_parallel,
-    apply_baseline,
     config_from_mapping,
     format_sarif,
     format_text,
     load_pyproject_config,
-    normalize_path,
     sarif_payload,
 )
 from repro.analysis.__main__ import run as cli_run
@@ -583,7 +579,7 @@ class TestDeadSanitizer:
 
 
 # ---------------------------------------------------------------------------
-# Baseline
+# SARIF
 # ---------------------------------------------------------------------------
 
 LOOPY = """
@@ -597,100 +593,6 @@ def _loopy_report(config=None):
     return analyze_source(
         textwrap.dedent(LOOPY), "experiments/snippet.py", config=config
     )
-
-
-class TestBaseline:
-    def test_normalize_path_package_and_foreign(self):
-        assert (
-            normalize_path("/repo/src/repro/privacy/audit.py")
-            == "repro/privacy/audit.py"
-        )
-        assert normalize_path("benchmarks/bench.py") == "benchmarks/bench.py"
-
-    def test_round_trip_and_apply(self, tmp_path):
-        report = _loopy_report()
-        assert len(report.findings) == 1
-        baseline = Baseline.from_findings(
-            report.findings, default_justification="known, tracked"
-        )
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        assert loaded.entries == baseline.entries
-        filtered = apply_baseline(report, loaded)
-        assert filtered.ok
-        assert filtered.baselined_count == 1
-        assert filtered.stale_baseline == []
-
-    def test_stale_entries_reported(self):
-        clean = analyze_source(
-            "def draw(dataset, mech):\n    return mech.release(dataset)\n",
-            "experiments/snippet.py",
-            config=AnalysisConfig(select=frozenset({"DPL010"})),
-        )
-        baseline = Baseline(
-            entries=[
-                BaselineEntry(
-                    path="repro/experiments/snippet.py",
-                    rule_id="DPL010",
-                    message="gone",
-                    justification="was here once",
-                )
-            ]
-        )
-        filtered = apply_baseline(clean, baseline)
-        assert len(filtered.stale_baseline) == 1
-        assert "DPL010" in filtered.stale_baseline[0]
-
-    def test_count_budget_is_enforced(self):
-        two = """
-        def draw(dataset, mech, n):
-            a = [mech.release(dataset) for _ in range(n)]
-            b = [mech.release(dataset) for _ in range(n)]
-            return a, b
-        """
-        report = analyze_source(
-            textwrap.dedent(two),
-            "experiments/snippet.py",
-            config=AnalysisConfig(select=frozenset({"DPL010"})),
-        )
-        assert len(report.findings) == 2
-        entry = BaselineEntry(
-            path=normalize_path(report.findings[0].path),
-            rule_id="DPL010",
-            message=report.findings[0].message,
-            count=1,
-            justification="only one is sanctioned",
-        )
-        filtered = apply_baseline(report, Baseline(entries=[entry]))
-        assert filtered.baselined_count == 1
-        assert len(filtered.findings) == 1
-
-    def test_load_rejects_missing_justification(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "schema": "dplint-baseline/v1",
-                    "entries": [
-                        {"path": "x.py", "rule_id": "DPL010", "message": "m"}
-                    ],
-                }
-            )
-        )
-        with pytest.raises(ConfigurationError, match="justification"):
-            Baseline.load(path)
-
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"schema": "nope", "entries": []}))
-        with pytest.raises(ConfigurationError, match="schema"):
-            Baseline.load(path)
-
-
-# ---------------------------------------------------------------------------
-# SARIF
-# ---------------------------------------------------------------------------
 
 
 class TestSarif:
@@ -721,13 +623,18 @@ class TestSarif:
         rules = run["tool"]["driver"]["rules"]
         assert rules[result["ruleIndex"]]["id"] == "DPL010"
 
-    def test_round_trips_through_baseline_filter(self):
-        report = _loopy_report()
-        baseline = Baseline.from_findings(
-            report.findings, default_justification="accepted"
+    def test_pragma_suppressed_finding_is_not_a_result(self):
+        source = textwrap.dedent(LOOPY).replace(
+            "for _ in range(n)]",
+            "for _ in range(n)]  # dplint: disable=DPL010 -- fixture",
         )
-        filtered = apply_baseline(report, baseline)
-        payload = json.loads(format_sarif(filtered))
+        report = analyze_source(
+            source,
+            "experiments/snippet.py",
+            config=AnalysisConfig(select=frozenset({"DPL010"})),
+        )
+        assert report.suppressed_count == 1
+        payload = json.loads(format_sarif(report))
         assert payload["runs"][0]["results"] == []
 
 
@@ -972,27 +879,6 @@ class TestCli:
         cli_run([self._violation_file(tmp_path), "--no-config", "--format", "sarif"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == "2.1.0"
-
-    def test_write_then_apply_baseline(self, tmp_path, capsys):
-        target = self._violation_file(tmp_path)
-        baseline = str(tmp_path / "baseline.json")
-        assert cli_run([target, "--no-config", "--write-baseline", baseline]) == 0
-        assert cli_run([target, "--no-config", "--baseline", baseline]) == 0
-        out = capsys.readouterr().out
-        assert "baselined" in out
-
-    def test_stale_baseline_is_surfaced(self, tmp_path, capsys):
-        target = self._violation_file(tmp_path)
-        baseline = str(tmp_path / "baseline.json")
-        cli_run([target, "--no-config", "--write-baseline", baseline])
-        # Pay off the debt, keep the baseline entry → stale warning.
-        (tmp_path / "loopy.py").write_text(
-            "def draw(dataset, mech, n):\n"
-            "    return mech.release_many(dataset, n)\n"
-        )
-        capsys.readouterr()
-        assert cli_run([target, "--no-config", "--baseline", baseline]) == 0
-        assert "stale baseline entry" in capsys.readouterr().out
 
     def test_parallel_cli_matches_serial(self, tmp_path, capsys):
         target = self._violation_file(tmp_path)

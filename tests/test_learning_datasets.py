@@ -8,7 +8,6 @@ from repro.learning import (
     BernoulliTask,
     GaussianThresholdTask,
     LinearRegressionTask,
-    LogisticTask,
     TwoGaussiansTask,
 )
 
@@ -107,31 +106,6 @@ class TestTwoGaussiansTask:
     def test_rejects_zero_mean(self):
         with pytest.raises(ValidationError):
             TwoGaussiansTask([0.0, 0.0])
-
-
-class TestLogisticTask:
-    def test_features_in_unit_ball(self):
-        task = LogisticTask([2.0, -1.0], eval_size=1_000)
-        x, _ = task.sample(5_000, random_state=6)
-        assert np.linalg.norm(x, axis=1).max() <= 1.0 + 1e-9
-
-    def test_bayes_risk_below_half(self):
-        task = LogisticTask([4.0, 0.0], eval_size=50_000)
-        assert task.bayes_zero_one_risk() < 0.5
-
-    def test_true_risk_of_flipped_direction_worse(self):
-        theta_star = np.array([4.0, 0.0])
-        task = LogisticTask(theta_star, eval_size=50_000)
-        good = task.true_zero_one_risk(theta_star)
-        bad = task.true_zero_one_risk(-theta_star)
-        assert bad > good
-        assert good + bad == pytest.approx(1.0, abs=0.02)
-
-    def test_labels_correlate_with_margin(self):
-        task = LogisticTask([5.0, 0.0], eval_size=1_000)
-        x, y = task.sample(20_000, random_state=7)
-        agreement = np.mean(np.sign(x[:, 0]) == y)
-        assert agreement > 0.6
 
 
 class TestLinearRegressionTask:

@@ -8,8 +8,6 @@ from repro.learning import LogisticRegressionModel, TwoGaussiansTask
 from repro.learning.evaluation import (
     ConfusionMatrix,
     auc,
-    cross_validate,
-    k_fold_indices,
     roc_points,
     train_test_split,
 )
@@ -44,47 +42,6 @@ class TestTrainTestSplit:
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValidationError):
             train_test_split(np.zeros((4, 1)), np.zeros(4), test_fraction=1.0)
-
-
-class TestKFold:
-    def test_folds_partition(self):
-        seen = []
-        for train, test in k_fold_indices(10, 5, random_state=0):
-            assert len(train) + len(test) == 10
-            assert not set(train) & set(test)
-            seen.extend(test.tolist())
-        assert sorted(seen) == list(range(10))
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValidationError):
-            list(k_fold_indices(5, 1))
-        with pytest.raises(ValidationError):
-            list(k_fold_indices(5, 6))
-
-
-class TestCrossValidate:
-    def test_logistic_on_separable_data(self):
-        task = TwoGaussiansTask([2.0, 0.0])
-        x, y = task.sample(300, random_state=0)
-        result = cross_validate(
-            lambda: LogisticRegressionModel(0.1), x, y, k=5, random_state=1
-        )
-        assert len(result.scores) == 5
-        assert result.mean > 0.9
-        assert "folds" in str(result)
-
-    def test_custom_scorer(self):
-        task = TwoGaussiansTask([2.0, 0.0])
-        x, y = task.sample(200, random_state=2)
-        result = cross_validate(
-            lambda: LogisticRegressionModel(0.1),
-            x,
-            y,
-            k=4,
-            score=lambda est, xt, yt: 1.0 - est.accuracy(xt, yt),
-            random_state=3,
-        )
-        assert result.mean < 0.1
 
 
 class TestConfusionMatrix:

@@ -1,85 +1,11 @@
-"""Unit tests for the sensitivity calculus."""
+"""Unit tests for the empirical-risk sensitivity."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.mechanisms import empirical_risk_sensitivity, global_sensitivity
-from repro.mechanisms.sensitivity import (
-    count_query_sensitivity,
-    estimate_sensitivity,
-    mean_query_sensitivity,
-)
-
-
-class TestGlobalSensitivity:
-    def test_count_query(self):
-        sensitivity = global_sensitivity(
-            lambda d: float(sum(d)), universe=[0, 1], n=3
-        )
-        assert sensitivity == pytest.approx(1.0)
-
-    def test_sum_query_over_bounded_universe(self):
-        sensitivity = global_sensitivity(
-            lambda d: float(sum(d)), universe=[0, 1, 2, 3], n=2
-        )
-        assert sensitivity == pytest.approx(3.0)
-
-    def test_mean_query(self):
-        sensitivity = global_sensitivity(
-            lambda d: float(np.mean(d)), universe=[0.0, 1.0], n=4
-        )
-        assert sensitivity == pytest.approx(0.25)
-
-    def test_constant_query_is_zero(self):
-        sensitivity = global_sensitivity(lambda d: 7.0, universe=[0, 1], n=2)
-        assert sensitivity == 0.0
-
-    def test_vector_query_l1(self):
-        sensitivity = global_sensitivity(
-            lambda d: np.array([sum(d), -float(sum(d))]), universe=[0, 1], n=2
-        )
-        assert sensitivity == pytest.approx(2.0)
-
-    def test_unordered_matches_ordered_for_exchangeable_query(self):
-        query = lambda d: float(sum(d))
-        ordered = global_sensitivity(query, [0, 1, 2], n=2, ordered=True)
-        unordered = global_sensitivity(query, [0, 1, 2], n=2, ordered=False)
-        assert ordered == pytest.approx(unordered)
-
-    def test_rejects_empty_universe(self):
-        with pytest.raises(ValidationError):
-            global_sensitivity(lambda d: 0.0, [], n=1)
-
-    def test_rejects_bad_n(self):
-        with pytest.raises(ValidationError):
-            global_sensitivity(lambda d: 0.0, [0], n=0)
-
-
-class TestEstimateSensitivity:
-    def test_lower_bounds_truth(self):
-        query = lambda d: float(sum(d))
-        datasets = [[0, 1, 0], [1, 1, 1], [0, 0, 0]]
-        estimate = estimate_sensitivity(
-            query, datasets, universe=[0, 1], random_state=0
-        )
-        assert estimate <= 1.0 + 1e-12
-
-    def test_finds_sensitivity_with_enough_probes(self):
-        query = lambda d: float(sum(d))
-        datasets = [[0, 0], [1, 1]]
-        estimate = estimate_sensitivity(
-            query,
-            datasets,
-            universe=[0, 1],
-            substitutions_per_dataset=100,
-            random_state=0,
-        )
-        assert estimate == pytest.approx(1.0)
-
-    def test_rejects_empty_dataset(self):
-        with pytest.raises(ValidationError):
-            estimate_sensitivity(lambda d: 0.0, [[]], universe=[0], random_state=0)
+from repro.mechanisms import empirical_risk_sensitivity
+from repro.privacy import all_neighbour_pairs
 
 
 class TestClosedForms:
@@ -96,17 +22,13 @@ class TestClosedForms:
         def risk(dataset):
             return float(np.mean([abs(theta - z) for z in dataset]))
 
-        enumerated = global_sensitivity(risk, universe=[0, 1], n=3)
+        enumerated = max(
+            abs(risk(a) - risk(b)) for a, b in all_neighbour_pairs([0, 1], 3)
+        )
         # Loss values are |0.3-0| = 0.3 and |0.3-1| = 0.7: range 0.4.
         assert enumerated == pytest.approx(
             empirical_risk_sensitivity(loss_range=0.4, n=3)
         )
-
-    def test_count_sensitivity(self):
-        assert count_query_sensitivity() == 1.0
-
-    def test_mean_sensitivity(self):
-        assert mean_query_sensitivity(value_range=2.0, n=10) == pytest.approx(0.2)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValidationError):

@@ -5,13 +5,15 @@
 outputs) law matrix. The references below are the per-pair loops they
 replaced, each with its own cache and the scalar divergence formulas
 inlined, so the comparison does not route through the code under test.
-Every comparison is ``==``, not ``approx``.
+Every comparison is ``==``, not ``approx``. Two cases also assert that
+the audited ε meets the claimed one: Theorem 4.1 for a Gibbs posterior at
+a fixed temperature, and Theorem 2.5 in the paper's raw parametrization.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import GibbsEstimator, LearningChannel
+from repro.core import GibbsEstimator, GibbsPosterior, LearningChannel
 from repro.distributions import DiscreteDistribution
 from repro.learning import BernoulliTask, PredictorGrid
 from repro.mechanisms import ExponentialMechanism, GeometricMechanism
@@ -108,6 +110,7 @@ def reference_channel_loss(channel):
 
 
 def assert_bit_identical(output_distribution, universe, n, claimed_epsilon=None):
+    """Compare the stacked audit with the reference loops; return its report."""
     report = ExactPrivacyAuditor(output_distribution).audit(
         universe, n, claimed_epsilon=claimed_epsilon
     )
@@ -134,6 +137,7 @@ def assert_bit_identical(output_distribution, universe, n, claimed_epsilon=None)
     assert np.isclose(
         at_infinity, revalidated_loss, rtol=0.0, atol=4 * np.finfo(float).eps
     )
+    return report
 
 
 # ----------------------------------------------------------------------
@@ -157,6 +161,30 @@ def test_e4_gibbs_grid(epsilon, n):
     assert_bit_identical(
         estimator.output_distribution, [0, 1], n, claimed_epsilon=epsilon
     )
+
+
+@pytest.mark.parametrize(
+    "temperature, prior_probs, n",
+    [
+        (0.5, None, 3),
+        (2.0, None, 3),
+        (10.0, None, 3),
+        (4.0, [0.4, 0.3, 0.1, 0.1, 0.1], 2),
+    ],
+)
+def test_gibbs_posterior_at_fixed_temperature(temperature, prior_probs, n):
+    """Theorem 4.1 for an uncalibrated posterior: the audited ε is positive
+    and at most the claimed 2·λ·Δ(R̂), for a uniform or a skewed prior."""
+    grid = bernoulli_grid()
+    prior = None
+    if prior_probs is not None:
+        prior = DiscreteDistribution(grid.thetas, prior_probs)
+    gibbs = GibbsPosterior(grid, temperature, prior=prior)
+    claimed = gibbs.privacy_epsilon(n)
+    report = assert_bit_identical(
+        gibbs.posterior, [0, 1], n, claimed_epsilon=claimed
+    )
+    assert 0 < report.measured_epsilon <= claimed
 
 
 @pytest.mark.parametrize("epsilon", [0.1, 0.5, 1.0, 2.0])
@@ -183,6 +211,22 @@ def test_e8_exponential_law(epsilon):
     assert_bit_identical(
         mech.output_distribution, [0, 1], 3, claimed_epsilon=epsilon
     )
+
+
+def test_exponential_law_raw_parametrization():
+    """Theorem 2.5 in the paper's raw scale: the declared ε is 2·ε·Δq."""
+    mech = ExponentialMechanism(
+        lambda d, u: -abs(sum(d) - u),
+        outputs=range(4),
+        sensitivity=1.0,
+        epsilon=0.7,
+        calibrated=False,
+    )
+    assert mech.epsilon == pytest.approx(2 * 0.7 * 1.0)
+    report = assert_bit_identical(
+        mech.output_distribution, [0, 1], 3, claimed_epsilon=mech.epsilon
+    )
+    assert report.satisfied
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

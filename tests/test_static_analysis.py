@@ -736,21 +736,13 @@ class TestSeverity:
 
 @pytest.mark.lint
 def test_repro_source_tree_is_violation_free():
-    """The shipped library passes its own linter modulo the committed
-    baseline — the PR gate. Stale baseline entries fail too: a paid-off
-    debt must be removed so regressions cannot hide behind it."""
+    """The shipped library and the benchmarks pass their own linter with no
+    allowlist — the PR gate. Inline pragmas are the only suppression."""
     import repro
-    from repro.analysis import Baseline, apply_baseline
 
     package_dir = str(next(iter(repro.__path__)))
     benchmarks_dir = REPO_ROOT / "benchmarks"
     report = Analyzer().analyze_paths([package_dir, str(benchmarks_dir)])
-    baseline = Baseline.load(REPO_ROOT / "benchmarks" / "dplint_baseline.json")
-    report = apply_baseline(report, baseline)
     details = "\n".join(str(f) for f in report.findings)
     assert report.ok, f"dplint findings in the source tree:\n{details}"
-    assert not report.stale_baseline, (
-        "stale baseline entries (fixed? remove them):\n"
-        + "\n".join(report.stale_baseline)
-    )
     assert report.files_checked > 50

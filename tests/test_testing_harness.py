@@ -1,8 +1,8 @@
 """Tier-1 unit tests for the statistical verification harness itself.
 
 Fast and fully deterministic: interval arithmetic, seed derivation,
-neighbour generators, sample-size calculators, the event-frequency
-estimator on hand-built samples, and report serialization. The heavy
+neighbour generators, the event-frequency estimator on hand-built
+samples, and report serialization. The heavy
 Monte-Carlo audits live in ``test_statistical_audits.py`` (tier 2).
 """
 
@@ -27,8 +27,6 @@ from repro.testing import (
     estimate_epsilon_lower_bound,
     extreme_record_pair,
     run_audit,
-    samples_to_separate,
-    samples_to_witness,
     score_gap_pair,
     substitution_pairs,
 )
@@ -156,25 +154,6 @@ class TestNeighborGenerators:
         # 4 datasets × 2 positions × 1 replacement each = 8 ordered pairs.
         assert len(pairs) == 8
         assert all(is_neighbour(p.a, p.b) for p in pairs)
-
-
-class TestSampleSizeCalculators:
-    def test_witness_matches_closed_form(self):
-        # P(miss) = (1-p)^n: need n ≥ log(1-c)/log(1-p).
-        n = samples_to_witness(0.01, 0.99)
-        assert (1 - 0.01) ** n <= 0.01 < (1 - 0.01) ** (n - 1)
-
-    def test_witness_monotone_in_rarity(self):
-        assert samples_to_witness(0.001, 0.99) > samples_to_witness(0.1, 0.99)
-
-    def test_separate_returns_feasible_size(self):
-        n = samples_to_separate(0.5, 0.05, 1.0, 0.999)
-        width = math.sqrt(math.log(1 / 0.001) / (2 * n))
-        assert math.log((0.5 - width) / (0.05 + width)) > 1.0
-
-    def test_separate_rejects_impossible_margin(self):
-        with pytest.raises(ValidationError):
-            samples_to_separate(0.5, 0.4, 1.0, 0.999)
 
 
 class TestEpsilonEstimator:

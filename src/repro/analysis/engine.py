@@ -196,16 +196,6 @@ class Analyzer:
             collected.append((real, display))
         return collected
 
-    def _collect(self, paths: Iterable[str]) -> list[Path]:
-        """Deprecated spelling of :meth:`collect` returning bare paths.
-
-        Parameters
-        ----------
-        paths:
-            Files or directories as given on the command line.
-        """
-        return [path for path, _ in self.collect(paths)]
-
     def _excluded(self, path: Path) -> bool:
         exclude = self.config.exclude_parts
         return any(

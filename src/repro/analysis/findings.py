@@ -76,11 +76,6 @@ class Finding:
     end_line: int | None = field(compare=False, default=None)
 
     @property
-    def line_span(self) -> tuple[int, int]:
-        """First and last physical line covered by this finding."""
-        return self.line, max(self.line, self.end_line or self.line)
-
-    @property
     def location(self) -> str:
         """``path:line:column`` address of this finding."""
         return f"{self.path}:{self.line}:{self.column}"

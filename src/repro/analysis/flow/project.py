@@ -12,7 +12,6 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.analysis.base import PACKAGE_ROOT, ImportTracker, package_parts
 
@@ -131,26 +130,9 @@ class ProjectModel:
             )
         return cls(modules)
 
-    @classmethod
-    def from_paths(cls, paths: Iterable[str | Path]) -> "ProjectModel":
-        """Build a project by reading files from disk.
-
-        Parameters
-        ----------
-        paths:
-            Python files to parse, in the order they should be analyzed.
-        """
-        return cls.from_sources(
-            (Path(path).read_text(encoding="utf-8"), str(path)) for path in paths
-        )
-
     def module(self, name: str) -> ModuleInfo | None:
         """The module registered under dotted ``name`` (or ``None``)."""
         return self._by_name.get(name)
-
-    def module_names(self) -> tuple[str, ...]:
-        """Dotted names of every module, in collection order."""
-        return tuple(info.name for info in self.modules)
 
     @property
     def symbols(self) -> "ProjectSymbols":

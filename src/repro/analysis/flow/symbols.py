@@ -98,10 +98,6 @@ class ProjectSymbols:
             for symbol in table.by_name.values():
                 self.by_qualname.setdefault(symbol.qualname, symbol)
 
-    def module_table(self, module_name: str) -> ModuleSymbols | None:
-        """The symbol table of the module registered under ``module_name``."""
-        return self._tables.get(module_name)
-
     def canonicalize(self, module_name: str, name: str) -> str:
         """Canonical dotted name for ``name`` as written inside a module.
 

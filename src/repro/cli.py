@@ -9,7 +9,7 @@ Commands
     Drive the registered benchmark experiments through the parallel,
     cached engine and write machine-readable ``BENCH_<id>.json``
     manifests. Exit code 0 when every configuration succeeded, 1 when
-    any failed after retries, 2 on usage errors — the same contract as
+    any failed, 2 on usage errors — the same contract as
     ``lint``/``audit``. Parent-vs-change timing lives in ``perf/``
     (see ``perf/README.md``), not here.
 ``audit``
@@ -97,18 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="process-pool size per experiment sweep (default: 1, serial)",
     )
     bench.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="per-configuration wall-clock budget in seconds",
-    )
-    bench.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="retry budget per failing configuration (seeds re-derived)",
-    )
-    bench.add_argument(
         "--no-cache",
         action="store_true",
         help="recompute every configuration, ignoring the result cache",
@@ -125,13 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--format", choices=("text", "json"), default="text"
-    )
-    bench.add_argument(
-        "--json",
-        action="store_const",
-        const="json",
-        dest="format",
-        help="shorthand for --format json",
     )
     bench.add_argument(
         "--list",
@@ -516,8 +497,6 @@ def _bench_body(args) -> int:
     try:
         engine = BenchmarkEngine(
             workers=args.workers,
-            timeout=args.timeout,
-            retries=args.retries,
             cache=None if args.no_cache else ResultCache(args.cache_dir),
             output_dir=args.output_dir,
         )

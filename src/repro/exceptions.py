@@ -38,14 +38,6 @@ class ConvergenceError(ReproError):
     """An iterative solver failed to converge within its iteration budget."""
 
 
-class ExperimentError(ReproError):
-    """A benchmark configuration failed (or timed out) after its retry budget.
-
-    Raised by the experiment runner when ``on_error="raise"``; the original
-    exception is chained as ``__cause__``.
-    """
-
-
 class SupportMismatchError(ValidationError):
     """Two distributions that must share a support do not."""
 

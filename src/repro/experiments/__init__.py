@@ -3,9 +3,10 @@
 The benchmarks in ``benchmarks/`` use these helpers to print the
 rows/series each experiment reports (EXPERIMENTS.md records the outputs).
 ``repro bench`` drives the same bench files through
-:class:`~repro.experiments.engine.BenchmarkEngine` — a parallel, cached,
-fault-tolerant executor that writes machine-readable ``BENCH_<id>.json``
-manifests (see docs/BENCHMARKS.md).
+:class:`~repro.experiments.engine.BenchmarkEngine` — a cached executor,
+serial or on a process pool, that records a failing configuration and
+goes on, and writes machine-readable ``BENCH_<id>.json`` manifests (see
+docs/BENCHMARKS.md).
 """
 
 from repro.experiments.cache import ResultCache, canonical_parameters, code_digest
@@ -28,14 +29,7 @@ from repro.experiments.registry import (
     experiment_span,
     get_experiment,
 )
-from repro.experiments.runner import (
-    ExperimentResult,
-    expand_grid,
-    reseed,
-    run_configurations,
-    run_experiment,
-    sweep,
-)
+from repro.experiments.runner import expand_grid, reseed, run_configurations
 from repro.experiments.tables import ResultTable
 
 __all__ = [
@@ -45,7 +39,6 @@ __all__ = [
     "ConfigurationRecord",
     "EXPERIMENTS",
     "Experiment",
-    "ExperimentResult",
     "ResultCache",
     "ResultTable",
     "RunManifest",
@@ -59,7 +52,5 @@ __all__ = [
     "load_manifest",
     "reseed",
     "run_configurations",
-    "run_experiment",
     "select_experiments",
-    "sweep",
 ]

@@ -1,12 +1,12 @@
 """Content-addressed on-disk cache for benchmark configuration results.
 
 A cache entry is keyed by the experiment id, the canonicalized
-configuration parameters, and a *code-version digest* of the modules that
-implement the experiment (plus its bench file). Any edit to those sources
-changes the digest, so stale results can never be served after the code
-they measured has moved — re-running after a refactor transparently
-recomputes everything, while repeated runs of unchanged code skip straight
-to the stored outputs.
+configuration parameters, and a *code-version digest* of every ``*.py``
+file in the ``repro`` package and in the bench file's directory. Any edit
+to that source changes the digest, so a result is never served for
+library or bench code other than the code that computed it. The digest
+does not cover the Python interpreter, NumPy or SciPy; ``--no-cache``
+recomputes after upgrading them.
 
 Layout on disk: ``<root>/<key[:2]>/<key>.json`` where ``key`` is the
 SHA-256 hex digest of the identity triple. Entries are whole JSON
@@ -16,7 +16,6 @@ documents written atomically (tmp file + rename).
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import os
 from collections.abc import Iterable, Mapping
@@ -60,56 +59,28 @@ def canonical_parameters(parameters: Mapping) -> str:
     )
 
 
-def _module_sources(module_name: str) -> list[tuple[str, bytes]]:
-    """(label, source-bytes) pairs for a module or package, sorted."""
-    try:
-        spec = importlib.util.find_spec(module_name)
-    except (ImportError, ValueError):
-        spec = None
-    if spec is None:
-        return [(f"{module_name}:missing", b"")]
-    files: list[Path] = []
-    if spec.submodule_search_locations:
-        for location in sorted(spec.submodule_search_locations):
-            files.extend(sorted(Path(location).rglob("*.py")))
-    elif spec.origin and spec.origin not in ("built-in", "frozen"):
-        files.append(Path(spec.origin))
-    sources = []
-    for path in files:
-        try:
-            sources.append((f"{module_name}:{path.name}", path.read_bytes()))
-        except OSError:
-            sources.append((f"{module_name}:{path.name}:unreadable", b""))
-    return sources
+def code_digest(roots: Iterable) -> str:
+    """SHA-256 digest over every ``*.py`` file under ``roots``.
 
-
-def code_digest(modules: Iterable[str], extra_paths: Iterable = ()) -> str:
-    """SHA-256 digest over the source of the implementing modules.
+    Each file contributes its path relative to its root and its bytes, so
+    the digest does not depend on where the checkout lives. A missing root
+    contributes nothing.
 
     Parameters
     ----------
-    modules:
-        Importable module/package names whose source defines the
-        experiment's behaviour (packages are walked recursively).
-    extra_paths:
-        Additional files to fold into the digest (e.g. the bench file
-        that drives the experiment).
+    roots:
+        Directories whose source defines the behaviour being cached, in a
+        fixed order (the engine passes the ``repro`` package directory and
+        the bench file's directory). They are walked recursively.
     """
     hasher = hashlib.sha256()
-    for name in sorted(set(modules)):
-        for label, blob in _module_sources(name):
-            hasher.update(label.encode())
+    for root in roots:
+        root = Path(root)
+        for path in sorted(root.rglob("*.py")):
+            hasher.update(path.relative_to(root).as_posix().encode())
             hasher.update(b"\x00")
-            hasher.update(blob)
+            hasher.update(path.read_bytes())
             hasher.update(b"\x01")
-    for path in sorted(str(p) for p in extra_paths):
-        hasher.update(os.path.basename(path).encode())
-        hasher.update(b"\x00")
-        try:
-            hasher.update(Path(path).read_bytes())
-        except OSError:
-            hasher.update(b"<unreadable>")
-        hasher.update(b"\x01")
     return hasher.hexdigest()
 
 
@@ -192,16 +163,3 @@ class ResultCache:
         if not self.root.is_dir():
             return 0
         return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        if not self.root.is_dir():
-            return removed
-        for entry in self.root.glob("*/*.json"):
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                continue  # concurrent eviction; nothing to do
-        return removed

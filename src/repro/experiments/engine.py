@@ -1,15 +1,16 @@
-"""The benchmark engine: parallel, cached, fault-tolerant experiment runs.
+"""The benchmark engine: cached, optionally parallel experiment runs.
 
 Each registered experiment's bench file (``benchmarks/bench_e*.py``)
 exports a ``BENCH_SPEC`` — a picklable ``case`` function plus the
 parameter ``grid``/``fixed`` values it sweeps. :class:`BenchmarkEngine`
 expands the grid, serves completed configurations from the
 content-addressed :class:`~repro.experiments.cache.ResultCache` (keyed by
-experiment id + canonical parameters + a code digest of the implementing
-modules), fans the misses out over the runner's process-pool backend, and
-records everything in a :class:`~repro.experiments.manifest.RunManifest`
-written as ``BENCH_<id>.json``. Parallel runs return results in grid
-order, bit-identical to serial runs.
+experiment id + canonical parameters + a digest of all the ``repro`` and
+bench source), runs the misses through
+:func:`~repro.experiments.runner.run_configurations`, and records
+everything in a :class:`~repro.experiments.manifest.RunManifest` written
+as ``BENCH_<id>.json``. Parallel runs return results in grid order,
+bit-identical to serial runs.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ __all__ = [
     "select_experiments",
 ]
 
+#: The ``repro`` package directory, the first root of every code digest.
+_PACKAGE_DIR = Path(__file__).resolve().parent.parent
+
 
 @dataclass(frozen=True)
 class BenchSpec:
@@ -50,10 +54,11 @@ class BenchSpec:
     fixed:
         Parameters held constant across the sweep.
     seed_param:
-        Optional name of an integer seed parameter, re-derived on retries.
+        Optional name of the integer seed parameter, for callers that
+        re-derive seeds (``perf/`` runs the sweep at other seeds).
     source:
-        Path of the bench file the spec was loaded from (folded into the
-        code digest), when known.
+        Path of the bench file the spec was loaded from; its directory is
+        folded into the code digest, when known.
     """
 
     case: Callable[..., Mapping]
@@ -141,44 +146,46 @@ def select_experiments(patterns: Sequence[str] = ()) -> list[Experiment]:
 
 
 class BenchmarkEngine:
-    """Parallel cached executor for the registered benchmark experiments.
+    """Cached executor for the registered benchmark experiments.
 
     Parameters
     ----------
     workers:
         Process-pool size per experiment sweep (1 = in-process serial).
-    timeout:
-        Per-configuration wall-clock budget in seconds (None = unlimited).
-    retries:
-        Retry budget per configuration; retried seeds are re-derived
-        deterministically when the bench spec names a ``seed_param``.
     cache:
         A :class:`ResultCache`, or ``None`` to disable caching.
     output_dir:
         Directory receiving ``BENCH_<id>.json`` manifests, or ``None`` to
         skip writing.
+
+    Notes
+    -----
+    The code digest is computed once per bench directory and then fixed
+    for the engine's lifetime: source edited mid-run is seen by the next
+    engine, not this one.
     """
 
     def __init__(
         self,
         *,
         workers: int = 1,
-        timeout: float | None = None,
-        retries: int = 0,
         cache: ResultCache | None = None,
         output_dir=None,
     ) -> None:
         if workers < 1:
             raise ValidationError("workers must be >= 1")
-        if retries < 0:
-            raise ValidationError("retries must be >= 0")
-        if timeout is not None and not timeout > 0:
-            raise ValidationError("timeout must be positive when set")
         self.workers = int(workers)
-        self.timeout = timeout
-        self.retries = int(retries)
         self.cache = cache
         self.output_dir = Path(output_dir) if output_dir is not None else None
+        self._digests: dict[Path | None, str] = {}
+
+    def _code_digest(self, spec: BenchSpec) -> str:
+        """The digest of the package and ``spec``'s bench directory (memoized)."""
+        bench_dir = Path(spec.source).resolve().parent if spec.source else None
+        if bench_dir not in self._digests:
+            roots = [_PACKAGE_DIR, bench_dir] if bench_dir else [_PACKAGE_DIR]
+            self._digests[bench_dir] = code_digest(roots)
+        return self._digests[bench_dir]
 
     def run_experiment(
         self, experiment: Experiment, spec: BenchSpec | None = None
@@ -203,70 +210,46 @@ class BenchmarkEngine:
         started = time.perf_counter()
         if spec is None:
             spec = load_bench_spec(experiment)
-        extra = [spec.source] if spec.source else []
-        digest = code_digest(experiment.modules, extra_paths=extra)
+        digest = self._code_digest(spec)
         configurations = expand_grid(spec.grid, spec.fixed)
 
         records: list[ConfigurationRecord | None] = [None] * len(configurations)
         keys: list[str | None] = [None] * len(configurations)
-        missing: list[tuple[int, dict]] = []
+        missing: list[int] = []
         for index, parameters in enumerate(configurations):
-            if self.cache is None:
-                missing.append((index, parameters))
-                continue
-            key = self.cache.key(experiment.id, parameters, digest)
-            keys[index] = key
-            payload = self.cache.get(key)
-            if payload is None:
-                missing.append((index, parameters))
-                continue
-            records[index] = ConfigurationRecord(
-                parameters=dict(payload.get("parameters", parameters)),
-                outputs=dict(payload["outputs"]),
-                seconds=float(payload.get("seconds", 0.0)),
-                worker=payload.get("worker"),
-                retries=int(payload.get("retries", 0)),
-                cache_hit=True,
-            )
-
-        if missing:
-            results = run_configurations(
-                experiment.id,
-                spec.case,
-                [parameters for _, parameters in missing],
-                workers=self.workers,
-                timeout=self.timeout,
-                retries=self.retries,
-                seed_param=spec.seed_param,
-                on_error="record",
-            )
-            for (index, _), result in zip(missing, results):
-                record = ConfigurationRecord(
-                    parameters=result.parameters,
-                    outputs=result.outputs,
-                    seconds=result.seconds,
-                    worker=result.metadata.get("worker"),
-                    retries=result.metadata.get("retries", 0),
-                    cache_hit=False,
-                    error=result.metadata.get("error"),
-                    trace=result.metadata.get("trace"),
-                )
-                records[index] = record
-                if self.cache is not None and record.ok:
-                    self.cache.put(
-                        keys[index]
-                        or self.cache.key(
-                            experiment.id, configurations[index], digest
-                        ),
-                        {
-                            "experiment": experiment.id,
-                            "parameters": record.parameters,
-                            "outputs": record.outputs,
-                            "seconds": record.seconds,
-                            "worker": record.worker,
-                            "retries": record.retries,
-                        },
+            if self.cache is not None:
+                keys[index] = self.cache.key(experiment.id, parameters, digest)
+                payload = self.cache.get(keys[index])
+                if payload is not None:
+                    records[index] = ConfigurationRecord(
+                        parameters=dict(payload.get("parameters", parameters)),
+                        outputs=dict(payload["outputs"]),
+                        seconds=float(payload.get("seconds", 0.0)),
+                        worker=payload.get("worker"),
+                        cache_hit=True,
                     )
+                    continue
+            missing.append(index)
+
+        fresh = run_configurations(
+            experiment.id,
+            spec.case,
+            [configurations[index] for index in missing],
+            workers=self.workers,
+        )
+        for index, record in zip(missing, fresh):
+            records[index] = record
+            if self.cache is not None and record.ok:
+                self.cache.put(
+                    keys[index],
+                    {
+                        "experiment": experiment.id,
+                        "parameters": record.parameters,
+                        "outputs": record.outputs,
+                        "seconds": record.seconds,
+                        "worker": record.worker,
+                    },
+                )
 
         manifest = RunManifest(
             experiment_id=experiment.id,
@@ -275,21 +258,9 @@ class BenchmarkEngine:
             code_digest=digest,
             workers=self.workers,
             cache_enabled=self.cache is not None,
-            timeout=self.timeout,
-            retries=self.retries,
             total_seconds=time.perf_counter() - started,
-            records=[record for record in records if record is not None],
+            records=records,
         )
         if self.output_dir is not None:
             manifest.write(self.output_dir)
         return manifest
-
-    def run(self, experiments: Sequence[Experiment]) -> list[RunManifest]:
-        """Run several experiments in registry order; returns the manifests.
-
-        Parameters
-        ----------
-        experiments:
-            Registry entries, e.g. from :func:`select_experiments`.
-        """
-        return [self.run_experiment(experiment) for experiment in experiments]

@@ -1,33 +1,33 @@
 """Run manifests: the machine-readable ``BENCH_<id>.json`` trajectory.
 
 Every engine run of an experiment produces one :class:`RunManifest`
-recording, per configuration, the wall time, the worker that ran it, how
-many retries it needed, and whether it was served from the result cache —
-plus run-level totals. ``RunManifest.write`` serializes it to
-``BENCH_<id>.json`` with a stable, versioned schema so perf trajectories
-can be diffed across commits by CI.
+recording, per configuration, the wall time, the worker that ran it, and
+whether it was served from the result cache — plus run-level totals.
+``RunManifest.write`` serializes it to ``BENCH_<id>.json`` with a stable,
+versioned schema so perf trajectories can be diffed across commits by CI.
 
-Schema (version 1)::
+Schema (version 2)::
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "experiment": "E4",
       "claim": "...",
       "bench": "benchmarks/bench_e4_gibbs_privacy.py",
       "code_digest": "<sha256>",
-      "engine": {"workers": 4, "cache": true, "timeout": null, "retries": 0},
+      "engine": {"workers": 2, "cache": true},
       "total_seconds": 1.234,
       "summary": {"configurations": 15, "cache_hits": 0, "failures": 0,
                   "executed_seconds": 1.2},
       "configurations": [
         {"parameters": {...}, "outputs": {...}, "seconds": 0.08,
-         "worker": 12345, "retries": 0, "cache_hit": false, "error": null},
+         "worker": 12345, "cache_hit": false, "error": null},
         ...
       ]
     }
 
-A configuration record may additionally carry an OPTIONAL ``"trace"`` key
-(still schema version 1; absent unless the run executed serially under an
+Version 1 also carried ``engine.timeout``, ``engine.retries`` and a
+per-record ``retries``. A configuration record may additionally carry an
+OPTIONAL ``"trace"`` key (absent unless the run executed serially under an
 active tracer): a small summary dict of the ledger events, spans, and
 mechanism releases attributable to that configuration alone.
 """
@@ -47,10 +47,10 @@ __all__ = [
     "load_manifest",
 ]
 
-BENCH_SCHEMA_VERSION = 1
+BENCH_SCHEMA_VERSION = 2
 
 _RECORD_KEYS = frozenset(
-    ("parameters", "outputs", "seconds", "worker", "retries", "cache_hit", "error")
+    ("parameters", "outputs", "seconds", "worker", "cache_hit", "error")
 )
 
 
@@ -62,14 +62,13 @@ class ConfigurationRecord:
     outputs: dict
     seconds: float
     worker: int | None = None
-    retries: int = 0
     cache_hit: bool = False
     error: str | None = None
     trace: dict | None = None
 
     @property
     def ok(self) -> bool:
-        """Whether the configuration produced outputs (no terminal error)."""
+        """Whether the configuration produced outputs (no error)."""
         return self.error is None
 
     def to_dict(self) -> dict:
@@ -83,7 +82,6 @@ class ConfigurationRecord:
             "outputs": dict(self.outputs),
             "seconds": float(self.seconds),
             "worker": self.worker,
-            "retries": int(self.retries),
             "cache_hit": bool(self.cache_hit),
             "error": self.error,
         }
@@ -108,7 +106,6 @@ class ConfigurationRecord:
             outputs=dict(payload["outputs"]),
             seconds=float(payload["seconds"]),
             worker=payload["worker"],
-            retries=int(payload["retries"]),
             cache_hit=bool(payload["cache_hit"]),
             error=payload["error"],
             trace=payload.get("trace"),
@@ -125,8 +122,6 @@ class RunManifest:
     code_digest: str
     workers: int
     cache_enabled: bool
-    timeout: float | None = None
-    retries: int = 0
     total_seconds: float = 0.0
     records: list[ConfigurationRecord] = field(default_factory=list)
 
@@ -137,7 +132,7 @@ class RunManifest:
 
     @property
     def failures(self) -> int:
-        """How many configurations exhausted their retry budget."""
+        """How many configurations raised instead of producing outputs."""
         return sum(1 for record in self.records if not record.ok)
 
     @property
@@ -148,7 +143,7 @@ class RunManifest:
         )
 
     def to_dict(self) -> dict:
-        """The manifest as its schema-version-1 JSON document."""
+        """The manifest as its schema-version-2 JSON document."""
         return {
             "schema_version": BENCH_SCHEMA_VERSION,
             "experiment": self.experiment_id,
@@ -158,8 +153,6 @@ class RunManifest:
             "engine": {
                 "workers": int(self.workers),
                 "cache": bool(self.cache_enabled),
-                "timeout": self.timeout,
-                "retries": int(self.retries),
             },
             "total_seconds": float(self.total_seconds),
             "summary": {
@@ -178,7 +171,7 @@ class RunManifest:
         Parameters
         ----------
         payload:
-            A schema-version-1 ``BENCH_<id>.json`` document.
+            A schema-version-2 ``BENCH_<id>.json`` document.
         """
         if not isinstance(payload, dict):
             raise ValidationError("manifest payload must be a dict")
@@ -201,8 +194,6 @@ class RunManifest:
             code_digest=str(payload["code_digest"]),
             workers=int(engine.get("workers", 1)),
             cache_enabled=bool(engine.get("cache", False)),
-            timeout=engine.get("timeout"),
-            retries=int(engine.get("retries", 0)),
             total_seconds=float(payload["total_seconds"]),
             records=[
                 ConfigurationRecord.from_dict(record)

@@ -1,13 +1,12 @@
-"""Experiment runner: parameter sweeps with a parallel, fault-tolerant backend.
+"""Experiment runner: one configuration list, run serially or on a process pool.
 
 The execution core of the benchmark engine (see
-:mod:`repro.experiments.engine`). ``sweep`` expands a parameter grid and
-hands the configurations to :func:`run_configurations`, which runs them
-either in-process (the default — closures and lambdas welcome) or on a
-``ProcessPoolExecutor`` with a per-configuration timeout and a bounded,
-deterministically-reseeded retry budget. Results always come back in grid
-(Cartesian-product) order regardless of completion order, so parallel runs
-are output-identical to serial ones.
+:mod:`repro.experiments.engine`). :func:`run_configurations` runs the
+configurations either in-process (``workers=1`` — closures and lambdas
+welcome) or on a ``ProcessPoolExecutor``. A configuration that raises is
+recorded with its error and the run goes on. Results always come back in
+input order regardless of completion order, so parallel runs are
+output-identical to serial ones.
 """
 
 from __future__ import annotations
@@ -17,42 +16,13 @@ import itertools
 import os
 import time
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeoutError
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
 
-from repro.exceptions import ExperimentError, ValidationError
+from repro.exceptions import ValidationError
+from repro.experiments.manifest import ConfigurationRecord
 from repro.observability import tracer as _trace
 
-__all__ = [
-    "ExperimentResult",
-    "expand_grid",
-    "reseed",
-    "run_configurations",
-    "run_experiment",
-    "sweep",
-]
-
-
-@dataclass
-class ExperimentResult:
-    """One experiment configuration and its measured outputs."""
-
-    name: str
-    parameters: dict
-    outputs: dict
-    seconds: float = 0.0
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def failed(self) -> bool:
-        """Whether this configuration exhausted its retry budget."""
-        return "error" in self.metadata
-
-    def __str__(self) -> str:
-        params = ", ".join(f"{k}={v}" for k, v in self.parameters.items())
-        outputs = ", ".join(f"{k}={v}" for k, v in self.outputs.items())
-        return f"{self.name}({params}) -> {outputs} [{self.seconds:.3f}s]"
+__all__ = ["expand_grid", "reseed", "run_configurations"]
 
 
 def reseed(seed: int, attempt: int) -> int:
@@ -73,31 +43,6 @@ def reseed(seed: int, attempt: int) -> int:
         return int(seed)
     blob = f"repro.reseed:{int(seed)}:{int(attempt)}".encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:4], "big")
-
-
-def run_experiment(
-    name: str, fn: Callable[..., Mapping], **parameters
-) -> ExperimentResult:
-    """Run ``fn(**parameters)`` and wrap its dict result with timing.
-
-    Parameters
-    ----------
-    name:
-        Label stored on the result.
-    fn:
-        Experiment function; must return a mapping of outputs.
-    """
-    outputs, seconds, worker, trace = _traced_invoke(name, fn, parameters)
-    metadata = {"worker": worker, "retries": 0}
-    if trace is not None:
-        metadata["trace"] = trace
-    return ExperimentResult(
-        name=name,
-        parameters=dict(parameters),
-        outputs=outputs,
-        seconds=seconds,
-        metadata=metadata,
-    )
 
 
 def _invoke(fn: Callable[..., Mapping], parameters: Mapping) -> tuple:
@@ -144,28 +89,12 @@ def expand_grid(grid: Mapping[str, Sequence], fixed: Mapping | None = None) -> l
     return configurations
 
 
-def _reseeded(parameters: dict, seed_param: str | None, attempt: int) -> dict:
-    """The configuration to use for retry ``attempt`` (seed re-derived)."""
-    if attempt == 0 or not seed_param or seed_param not in parameters:
-        return parameters
-    fresh = dict(parameters)
-    fresh[seed_param] = reseed(parameters[seed_param], attempt)
-    return fresh
-
-
-def _failure(
-    name: str, parameters: dict, retries: int, error: BaseException
-) -> ExperimentResult:
-    return ExperimentResult(
-        name=name,
+def _failure(parameters: Mapping, error: BaseException) -> ConfigurationRecord:
+    return ConfigurationRecord(
         parameters=dict(parameters),
         outputs={},
         seconds=0.0,
-        metadata={
-            "worker": None,
-            "retries": retries,
-            "error": f"{type(error).__name__}: {error}",
-        },
+        error=f"{type(error).__name__}: {error}",
     )
 
 
@@ -201,112 +130,41 @@ def _traced_invoke(
 
 
 def _run_serial(
-    name: str,
-    fn: Callable[..., Mapping],
-    configurations: Sequence[Mapping],
-    retries: int,
-    seed_param: str | None,
-    on_error: str,
-) -> list[ExperimentResult]:
-    results = []
-    for original in configurations:
-        original = dict(original)
-        attempt = 0
-        while True:
-            parameters = _reseeded(original, seed_param, attempt)
-            try:
-                outputs, seconds, worker, trace = _traced_invoke(
-                    name, fn, parameters
-                )
-            except Exception as error:
-                if attempt < retries:
-                    attempt += 1
-                    continue
-                if on_error == "raise":
-                    raise ExperimentError(
-                        f"{name}{parameters} failed after {attempt} "
-                        f"retr{'y' if attempt == 1 else 'ies'}: {error}"
-                    ) from error
-                results.append(_failure(name, parameters, attempt, error))
-                break
-            metadata = {"worker": worker, "retries": attempt}
-            if trace is not None:
-                metadata["trace"] = trace
-            results.append(
-                ExperimentResult(
-                    name=name,
-                    parameters=dict(parameters),
-                    outputs=outputs,
-                    seconds=seconds,
-                    metadata=metadata,
-                )
+    name: str, fn: Callable[..., Mapping], configurations: Sequence[Mapping]
+) -> list[ConfigurationRecord]:
+    records = []
+    for parameters in configurations:
+        try:
+            outputs, seconds, worker, trace = _traced_invoke(name, fn, parameters)
+        except Exception as error:
+            records.append(_failure(parameters, error))
+            continue
+        records.append(
+            ConfigurationRecord(
+                dict(parameters), outputs, seconds, worker=worker, trace=trace
             )
-            break
-    return results
+        )
+    return records
 
 
 def _run_pooled(
-    name: str,
-    fn: Callable[..., Mapping],
-    configurations: Sequence[Mapping],
-    workers: int,
-    timeout: float | None,
-    retries: int,
-    seed_param: str | None,
-    on_error: str,
-) -> list[ExperimentResult]:
-    originals = [dict(c) for c in configurations]
-    results: list[ExperimentResult | None] = [None] * len(originals)
-    timed_out = False
-    executor = ProcessPoolExecutor(max_workers=workers)
-    try:
-        pending: dict[int, tuple[Future, dict, int]] = {}
-        for index, parameters in enumerate(originals):
-            pending[index] = (
-                executor.submit(_invoke, fn, parameters),
-                parameters,
-                0,
+    fn: Callable[..., Mapping], configurations: Sequence[Mapping], workers: int
+) -> list[ConfigurationRecord]:
+    records = []
+    with ProcessPoolExecutor(max_workers=workers) as executor:
+        futures = [executor.submit(_invoke, fn, dict(c)) for c in configurations]
+        # Resolve strictly in submission order so the returned list is
+        # deterministic no matter which worker finishes first.
+        for parameters, future in zip(configurations, futures):
+            try:
+                outputs, seconds, worker = future.result()
+            except Exception as error:
+                records.append(_failure(parameters, error))
+                continue
+            records.append(
+                ConfigurationRecord(dict(parameters), outputs, seconds, worker=worker)
             )
-        # Resolve strictly in submission (= grid) order so the returned
-        # list is deterministic no matter which worker finishes first.
-        for index in range(len(originals)):
-            while results[index] is None:
-                future, parameters, attempt = pending[index]
-                try:
-                    outputs, seconds, worker = future.result(timeout=timeout)
-                except Exception as error:
-                    if isinstance(error, (TimeoutError, _FutureTimeoutError)):
-                        timed_out = True
-                        future.cancel()
-                    if attempt < retries:
-                        attempt += 1
-                        fresh = _reseeded(originals[index], seed_param, attempt)
-                        pending[index] = (
-                            executor.submit(_invoke, fn, fresh),
-                            fresh,
-                            attempt,
-                        )
-                        continue
-                    if on_error == "raise":
-                        raise ExperimentError(
-                            f"{name}{parameters} failed after {attempt} "
-                            f"retr{'y' if attempt == 1 else 'ies'}: {error}"
-                        ) from error
-                    results[index] = _failure(name, parameters, attempt, error)
-                    break
-                results[index] = ExperimentResult(
-                    name=name,
-                    parameters=dict(parameters),
-                    outputs=outputs,
-                    seconds=seconds,
-                    metadata={"worker": worker, "retries": attempt},
-                )
-    finally:
-        # A timed-out task cannot be interrupted mid-run; don't block on
-        # its worker — let it finish (or die with the interpreter) in the
-        # background while results are already complete.
-        executor.shutdown(wait=not timed_out, cancel_futures=True)
-    return [result for result in results if result is not None]
+    return records
 
 
 def run_configurations(
@@ -315,114 +173,38 @@ def run_configurations(
     configurations: Sequence[Mapping],
     *,
     workers: int = 1,
-    timeout: float | None = None,
-    retries: int = 0,
-    seed_param: str | None = None,
-    on_error: str = "raise",
-) -> list[ExperimentResult]:
-    """Run explicit configurations through the serial or pooled backend.
+) -> list[ConfigurationRecord]:
+    """Run configurations in order; one record each, failures included.
 
     Parameters
     ----------
     name:
-        Label stored on every result.
+        Label of the per-configuration trace span.
     fn:
         Experiment function mapping keyword parameters to an output
         mapping. Must be picklable (a module-level function) when
-        ``workers > 1`` or ``timeout`` is set.
+        ``workers > 1``.
     configurations:
         The parameter dicts to run, in the order results are wanted.
     workers:
-        Process-pool size. ``1`` with no ``timeout`` runs in-process.
-    timeout:
-        Per-configuration wall-clock budget in seconds (pooled backend
-        only; forces the pool even at ``workers=1``). The wait for a
-        retried configuration may include queueing time behind other
-        configurations.
-    retries:
-        How many times a failing/timed-out configuration is re-run before
-        it counts as failed.
-    seed_param:
-        Name of an integer seed parameter; on retry ``k`` it is replaced
-        with ``reseed(seed, k)`` so the re-run is reproducible but does
-        not replay the identical RNG stream.
-    on_error:
-        ``"raise"`` propagates the first exhausted failure as
-        :class:`~repro.exceptions.ExperimentError`; ``"record"`` returns a
-        result with empty outputs and the error message in
-        ``metadata["error"]`` and keeps going.
+        Process-pool size. ``1`` runs in-process.
 
     Notes
     -----
+    A configuration that raises, or returns something other than a
+    mapping, yields a record with empty outputs and the error message in
+    ``error``; the remaining configurations still run.
+
     When a tracer is active (:mod:`repro.observability`) the in-process
     serial backend records a per-configuration span and a trace summary in
-    ``metadata["trace"]``. Pooled workers are separate processes that
-    cannot report into the parent's tracer, so pooled results carry no
-    trace summary — by design, rather than silently-empty numbers.
+    ``trace``. Pooled workers are separate processes that cannot report
+    into the parent's tracer, so pooled records carry no trace summary —
+    by design, rather than silently-empty numbers.
     """
     if workers < 1:
         raise ValidationError("workers must be >= 1")
-    if retries < 0:
-        raise ValidationError("retries must be >= 0")
-    if timeout is not None and not timeout > 0:
-        raise ValidationError("timeout must be positive when set")
-    if on_error not in ("raise", "record"):
-        raise ValidationError("on_error must be 'raise' or 'record'")
     if not configurations:
         return []
-    if workers == 1 and timeout is None:
-        return _run_serial(name, fn, configurations, retries, seed_param, on_error)
-    return _run_pooled(
-        name, fn, configurations, workers, timeout, retries, seed_param, on_error
-    )
-
-
-def sweep(
-    name: str,
-    fn: Callable[..., Mapping],
-    grid: Mapping[str, Sequence],
-    *,
-    workers: int = 1,
-    timeout: float | None = None,
-    retries: int = 0,
-    seed_param: str | None = None,
-    on_error: str = "raise",
-    **fixed,
-) -> list[ExperimentResult]:
-    """Run ``fn`` over the Cartesian product of ``grid`` values.
-
-    Results are returned in grid order (``itertools.product`` over the
-    grid's values in key order) regardless of the backend or completion
-    order.
-
-    Parameters
-    ----------
-    grid:
-        Mapping from parameter name to the non-empty sequence of values
-        to sweep. An empty mapping or an empty value sequence raises
-        :class:`~repro.exceptions.ValidationError` instead of silently
-        producing an empty sweep.
-    workers:
-        Process-pool size; ``1`` (default) runs serially in-process.
-    timeout:
-        Per-configuration wall-clock budget in seconds.
-    retries:
-        Retry budget per configuration (see :func:`run_configurations`).
-    seed_param:
-        Seed parameter re-derived on retries (see :func:`reseed`).
-    on_error:
-        ``"raise"`` (default) or ``"record"``.
-    fixed:
-        Parameters held constant across the sweep.
-    """
-    configurations = expand_grid(grid, fixed)
-    return run_configurations(
-        name,
-        fn,
-        configurations,
-        workers=workers,
-        timeout=timeout,
-        retries=retries,
-        seed_param=seed_param,
-        on_error=on_error,
-    )
+    if workers == 1:
+        return _run_serial(name, fn, configurations)
+    return _run_pooled(fn, configurations, workers)

@@ -172,10 +172,6 @@ class ReleaseService:
             raise ValidationError(f"mechanism {mechanism_id!r} already registered")
         self._mechanisms[mechanism_id] = mechanism
 
-    def mechanism_ids(self) -> list[str]:
-        """Registered mechanism ids, sorted."""
-        return sorted(self._mechanisms)
-
     async def submit(self, tenant_id: str, mechanism_id: str, dataset, n: int = 1):
         """Serve ``n`` releases of ``dataset`` for a tenant.
 

@@ -220,7 +220,8 @@ class TestBenchExitCodes:
 
     def test_json_report_round_trips(self, capsys, tmp_path):
         code = main(
-            ["bench", "E14", "--json", "--no-cache", *self._dirs(tmp_path)]
+            ["bench", "E14", "--format", "json", "--no-cache",
+             *self._dirs(tmp_path)]
         )
         payload = json.loads(capsys.readouterr().out)
         assert code == 0

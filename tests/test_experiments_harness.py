@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.experiments import ResultTable, ascii_curve
+from repro.experiments import (
+    ResultTable,
+    ascii_curve,
+    expand_grid,
+    run_configurations,
+)
 
 
 class TestResultTable:
@@ -95,3 +100,33 @@ class TestAsciiCurve:
             ascii_curve([1, 2, 3], [1, bad, 3])
         with pytest.raises(ValidationError, match="finite"):
             ascii_curve([1, bad, 3], [1, 2, 3])
+
+
+class TestRunner:
+    def test_run_experiment_wraps_output(self):
+        (record,) = run_configurations("double", lambda x: {"y": 2 * x}, [{"x": 3}])
+        assert record.ok
+        assert record.outputs == {"y": 6}
+        assert record.parameters == {"x": 3}
+        assert record.seconds >= 0
+
+    def test_run_experiment_rejects_non_mapping(self):
+        (record,) = run_configurations("bad", lambda: 42, [{}])
+        assert not record.ok
+        assert record.error.startswith("ValidationError")
+
+    def test_sweep_cartesian_product(self):
+        records = run_configurations(
+            "add",
+            lambda a, b, c: {"s": a + b + c},
+            expand_grid({"a": [1, 2], "b": [10, 20]}, {"c": 100}),
+        )
+        assert [r.outputs["s"] for r in records] == [111, 121, 112, 122]
+
+    def test_sweep_rejects_overlap(self):
+        with pytest.raises(ValidationError):
+            expand_grid({"a": [1]}, {"a": 2})
+
+    def test_sweep_rejects_empty_grid(self):
+        with pytest.raises(ValidationError):
+            expand_grid({})

@@ -187,16 +187,16 @@ def minimize_catoni_bound(
     """Minimize the Catoni objective over all posteriors on the support.
 
     Returns ``(posterior, objective_value)``. With ``numerical=True`` the
-    minimization is redone with a generic simplex optimizer (SLSQP over
-    softmax-parametrized weights) instead of the closed form — Experiment
-    E3 uses this to confirm the optimizer lands on the Gibbs posterior.
+    minimization is redone over softmax-parametrized weights by a generic
+    optimizer instead of the closed form — Experiment E3 uses this to
+    confirm the optimizer lands on the Gibbs posterior. Supports of up to
+    8 atoms run Nelder–Mead, an in-repo copy of SciPy's steps with the
+    same bits; larger ones run SciPy's Powell.
     """
     risks = np.asarray(empirical_risks, dtype=float)
     closed_form = gibbs_minimizer(prior, risks, temperature)
     if not numerical:
         return closed_form, catoni_objective(closed_form, prior, risks, temperature)
-
-    from scipy.optimize import minimize
 
     size = len(prior)
     if risks.shape[0] != size:
@@ -218,19 +218,88 @@ def minimize_catoni_bound(
         probs = probs / total
         return temperature * float(risks @ probs) + float(_kl_rows(probs, prior_probs))
 
-    result = minimize(
-        objective,
-        x0=np.zeros(size),
-        method="Nelder-Mead" if size <= 8 else "Powell",
-        options={"maxiter": 20_000, "xatol": 1e-10, "fatol": 1e-12}
-        if size <= 8
-        else {"maxiter": 20_000},
-    )
-    shifted = result.x - result.x.max()
+    if size <= 8:
+        x, value = _nelder_mead(objective, size)
+    else:
+        from scipy.optimize import minimize
+
+        result = minimize(
+            objective, x0=np.zeros(size), method="Powell",
+            options={"maxiter": 20_000},
+        )
+        x, value = result.x, result.fun
+    shifted = x - x.max()
     probs = np.exp(shifted)
     probs /= probs.sum()
     numerical_posterior = DiscreteDistribution(prior.support, probs)
-    return numerical_posterior, float(result.fun)
+    return numerical_posterior, float(value)
+
+
+def _nelder_mead(function, size: int, *, maxiter: int = 20_000):
+    """Minimize ``function`` over R^size from the origin; returns ``(x, fun)``.
+
+    The steps of SciPy 1.17's ``minimize(method="Nelder-Mead",
+    options={"maxiter": maxiter, "xatol": 1e-10, "fatol": 1e-12})``, one
+    for one: the same start simplex (step 0.00025 from zero), coefficients
+    (reflection 1, expansion 2, contraction and shrink 0.5), stopping
+    tests, ``argsort``/``take`` reorders and a fresh copy of the point per
+    evaluation, so both return the same bits. ``function`` returns a float.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    xatol, fatol = 1e-10, 1e-12
+
+    def evaluate(x):
+        return function(np.copy(x))
+
+    sim = np.zeros((size + 1, size))
+    sim[1:] = 0.00025 * np.eye(size)
+    fsim = np.full((size + 1,), np.inf, dtype=float)
+    for k in range(size + 1):
+        fsim[k] = evaluate(sim[k])
+    for _ in range(2):  # SciPy sorts twice before its first iteration
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / size
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = evaluate(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = evaluate(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = evaluate(xc)
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+            else:  # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = evaluate(xcc)
+                shrink = not fxcc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xcc, fxcc
+            if shrink:
+                for j in range(1, size + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = evaluate(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
 
 
 @dataclass

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import fnmatch
 import importlib
+import importlib.util
+import sys
 import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -38,6 +40,8 @@ __all__ = [
 
 #: The ``repro`` package directory, the first root of every code digest.
 _PACKAGE_DIR = Path(__file__).resolve().parent.parent
+#: The repository root, which the registry's ``bench`` paths are relative to.
+_REPO_ROOT = _PACKAGE_DIR.parent.parent
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,30 @@ class BenchSpec:
     source: str | None = None
 
 
+def _register_bench_package(package_dir: Path) -> None:
+    """Load the package at ``package_dir`` by path, under its directory's
+    name, unless a module of that name is loaded already.
+
+    Its modules then import by name from any working directory, and so do
+    their own ``from benchmarks.common import …`` lines. Without an
+    ``__init__.py`` there nothing is registered.
+    """
+    name = package_dir.name
+    init = package_dir / "__init__.py"
+    if name in sys.modules or not init.is_file():
+        return
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(package_dir)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+
+
 def load_bench_spec(experiment: Experiment) -> BenchSpec:
     """Import an experiment's bench module and validate its ``BENCH_SPEC``.
 
@@ -76,10 +104,13 @@ def load_bench_spec(experiment: Experiment) -> BenchSpec:
     experiment:
         Registry entry whose ``bench`` file names the module to import
         (``benchmarks/bench_e4_gibbs_privacy.py`` ->
-        ``benchmarks.bench_e4_gibbs_privacy``).
+        ``benchmarks.bench_e4_gibbs_privacy``). The ``benchmarks``
+        package is loaded from the repository root, whatever the working
+        directory.
     """
-    stem = Path(experiment.bench).stem
-    module_name = f"benchmarks.{stem}"
+    bench = Path(experiment.bench)
+    _register_bench_package((_REPO_ROOT / bench).parent)
+    module_name = f"{bench.parent.name}.{bench.stem}"
     try:
         module = importlib.import_module(module_name)
     except ImportError as error:

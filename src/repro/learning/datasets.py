@@ -107,19 +107,19 @@ class GaussianThresholdTask(SyntheticTask):
 
     def true_risk(self, threshold: float) -> float:
         """Exact 0-1 risk of the threshold predictor."""
-        from scipy.stats import norm
+        from scipy.special import ndtr
 
         t = float(threshold)
         return float(
-            0.5 * norm.cdf((t - self.mu) / self.sigma)
-            + 0.5 * norm.cdf(-(t + self.mu) / self.sigma)
+            0.5 * ndtr((t - self.mu) / self.sigma)
+            + 0.5 * ndtr(-(t + self.mu) / self.sigma)
         )
 
     def bayes_risk(self) -> float:
         """Risk of the optimal threshold t = 0: ``Φ(-μ/σ)``."""
-        from scipy.stats import norm
+        from scipy.special import ndtr
 
-        return float(norm.cdf(-self.mu / self.sigma))
+        return float(ndtr(-self.mu / self.sigma))
 
 
 class TwoGaussiansTask(SyntheticTask):
@@ -160,7 +160,7 @@ class TwoGaussiansTask(SyntheticTask):
         Only exact when features are *not* clipped; with clipping it is an
         excellent approximation for well-separated classes.
         """
-        from scipy.stats import norm
+        from scipy.special import ndtr
 
         theta = np.asarray(theta, dtype=float)
         if theta.shape != self.mean.shape:
@@ -168,13 +168,13 @@ class TwoGaussiansTask(SyntheticTask):
         norm_theta = float(np.linalg.norm(theta))
         if norm_theta == 0:
             return 0.5
-        return float(norm.cdf(-float(theta @ self.mean) / norm_theta))
+        return float(ndtr(-float(theta @ self.mean) / norm_theta))
 
     def bayes_risk(self) -> float:
         """Risk of the optimal direction θ ∝ mean: ``Φ(-‖mean‖)``."""
-        from scipy.stats import norm
+        from scipy.special import ndtr
 
-        return float(norm.cdf(-np.linalg.norm(self.mean)))
+        return float(ndtr(-np.linalg.norm(self.mean)))
 
 
 class LinearRegressionTask(SyntheticTask):

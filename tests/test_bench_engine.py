@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -430,3 +433,17 @@ class TestRegisteredBenchSpecs:
         assert spec.source and spec.source.endswith(
             experiment.bench.rsplit("/", 1)[-1]
         )
+
+    def test_bench_runs_from_outside_the_repository(self, tmp_path):
+        """``repro bench`` finds the bench files from any working directory."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "bench", "E1", "--no-cache",
+             "--output-dir", "out"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        manifest = load_manifest(tmp_path / "out" / "BENCH_E1.json")
+        assert manifest.experiment_id == "E1"
+        assert manifest.failures == 0

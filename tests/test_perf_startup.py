@@ -11,8 +11,12 @@ interpreter, because this test process has long since loaded SciPy:
 * ``run_audit`` on every family in ``AUDIT_FAMILIES`` loads nothing
   beyond what ``import scipy.special`` loads (its Clopper–Pearson bounds
   call ``scipy.special.betaincinv``);
-* E13's sweep loads no ``scipy.stats``: its truncated Beta posterior reads
-  ``scipy.special.betainc`` and ``betaincinv``.
+* running every E1–E19 bench case once through a serial, uncached
+  ``BenchmarkEngine`` loads nothing beyond what ``import scipy.special``
+  loads: E3's numerical Catoni minimizer runs an in-repo Nelder–Mead
+  instead of ``scipy.optimize``, E13's truncated Beta posterior reads
+  ``scipy.special.betainc`` and ``betaincinv``, and E16's Gaussian risks
+  read ``scipy.special.ndtr``.
 
 A module-level ``import scipy.stats`` added to any ``repro`` module fails
 the first check.
@@ -101,15 +105,14 @@ print(json.dumps({{
 """
 
 
-_E13_PROBE = f"""
+_SWEEP_PROBE = f"""
 import json, sys
 
-from repro.experiments import expand_grid, get_experiment, load_bench_spec
+from repro.experiments import EXPERIMENTS, BenchmarkEngine
 
-spec = load_bench_spec(get_experiment("E13"))
-for parameters in expand_grid(spec.grid, spec.fixed):
-    spec.case(**parameters)
-print(json.dumps({_LOADED}))
+engine = BenchmarkEngine(workers=1, cache=None, output_dir=None)
+failures = [engine.run_experiment(experiment).failures for experiment in EXPERIMENTS]
+print(json.dumps({{"loaded": {_LOADED}, "failures": failures}}))
 """
 
 
@@ -145,10 +148,15 @@ def test_serving_fleet_loads_no_scipy(probe):
     assert probe["after_serving"] == []
 
 
-def test_audit_loads_only_scipy_special(probe):
-    special = set(json.loads(
+@pytest.fixture(scope="module")
+def special() -> set:
+    """The modules ``import scipy.special`` loads in a fresh interpreter."""
+    return set(json.loads(
         _python(f"import json, sys, scipy.special; print(json.dumps({_LOADED}))")
     ))
+
+
+def test_audit_loads_only_scipy_special(probe, special):
     loaded = set(probe["after_audit"])
     assert all(probe["verdicts"])
     assert "scipy.special" in loaded
@@ -156,7 +164,9 @@ def test_audit_loads_only_scipy_special(probe):
     assert loaded <= special, sorted(loaded - special)
 
 
-def test_e13_sweep_loads_no_scipy_stats():
-    loaded = json.loads(_python(_E13_PROBE))
+def test_paper_sweep_loads_only_scipy_special(special):
+    sweep = json.loads(_python(_SWEEP_PROBE))
+    loaded = set(sweep["loaded"])
+    assert len(sweep["failures"]) == 19 and not any(sweep["failures"])
     assert "scipy.special" in loaded
-    assert "scipy.stats" not in loaded, sorted(loaded)
+    assert loaded <= special, sorted(loaded - special)

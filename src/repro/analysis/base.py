@@ -2,7 +2,7 @@
 
 A rule receives one parsed module at a time wrapped in a
 :class:`ModuleContext` (AST, source lines, resolved package location, and
-the active :class:`~repro.analysis.config.AnalysisConfig`) and yields
+the whole-program project) and yields
 :class:`~repro.analysis.findings.Finding` objects. Shared AST utilities —
 dotted-name rendering and import-alias resolution — live here so individual
 rules stay small.
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -120,8 +119,6 @@ class ModuleContext:
         Path components *below* the ``repro`` package root, e.g.
         ``("mechanisms", "laplace.py")``. Synthetic paths used in tests
         (``"mechanisms/snippet.py"``) resolve the same way.
-    config:
-        Active analysis configuration.
     project:
         Whole-program :class:`~repro.analysis.flow.project.ProjectModel`
         covering every module in the analyzed set. ``None`` only when a
@@ -133,7 +130,6 @@ class ModuleContext:
     tree: ast.Module
     source_lines: list[str]
     package_parts: tuple[str, ...]
-    config: AnalysisConfig
     project: "ProjectModel | None" = None
     _imports: ImportTracker | None = field(default=None, repr=False)
 
@@ -148,6 +144,16 @@ class ModuleContext:
     def package(self) -> str:
         """First-level package the module lives in (``""`` at the root)."""
         return self.package_parts[0] if len(self.package_parts) > 1 else ""
+
+    @property
+    def in_library(self) -> bool:
+        """Whether the module lives inside the ``repro`` package.
+
+        Scripts that drive the library from outside it (benchmarks,
+        examples) seed their own Generators and print what they measure,
+        so the release-path rules DPL001, DPL003 and DPL007 skip them.
+        """
+        return PACKAGE_ROOT in Path(self.path).parts[:-1]
 
     @property
     def module_relpath(self) -> str:
@@ -170,42 +176,23 @@ class Rule(abc.ABC):
     """One static-analysis check.
 
     Subclasses define the class attributes ``id`` (stable ``DPLxxx``
-    identifier), ``name`` (kebab-case slug usable in pragmas and
-    ``--select``), ``description``, ``rationale`` (the DP failure mode the
-    rule guards against), ``default_severity``, and ``default_options``,
-    and implement :meth:`check` as a generator of findings.
+    identifier), ``name`` (kebab-case slug usable in pragmas),
+    ``description``, ``rationale`` (the DP failure mode the rule guards
+    against) and ``severity``, and implement :meth:`check` as a generator
+    of findings. A rule's scope and knobs are constants of its module.
     """
 
     id: str = ""
     name: str = ""
     description: str = ""
     rationale: str = ""
-    default_severity: Severity = Severity.ERROR
-    default_options: dict = {}
-    #: Whole-program rules set this so the engine materializes a
-    #: :class:`~repro.analysis.flow.project.ProjectModel` before dispatch.
-    requires_project: bool = False
+    severity: Severity = Severity.ERROR
 
     @abc.abstractmethod
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Yield findings for one module."""
 
     # -- helpers shared by every rule ------------------------------------
-
-    def option(self, ctx: ModuleContext, name: str):
-        """This rule's effective value for option ``name``."""
-        return ctx.config.rule_option(self.id, name, self.default_options[name])
-
-    def applies_to(self, ctx: ModuleContext) -> bool:
-        """Package gate: true when the module is in a configured package.
-
-        Rules without a ``packages`` option apply everywhere.
-        """
-        packages = self.default_options.get("packages")
-        if packages is None:
-            return True
-        packages = self.option(ctx, "packages")
-        return ctx.package in set(packages)
 
     def finding(
         self, ctx: ModuleContext, node: ast.AST | None, message: str
@@ -219,7 +206,7 @@ class Rule(abc.ABC):
             column=getattr(node, "col_offset", 0) if node is not None else 0,
             rule_id=self.id,
             rule_name=self.name,
-            severity=ctx.config.severity_for(self.id, self.default_severity),
+            severity=self.severity,
             message=message,
             end_line=end_line if end_line is not None and end_line > line else None,
         )

@@ -2,7 +2,7 @@
 
 :class:`Analyzer` collects the requested paths into one
 :class:`~repro.analysis.flow.project.ProjectModel` (every file parsed
-exactly once), runs every enabled rule over the shared ASTs — whole-program
+exactly once), runs every registered rule over the shared ASTs — whole-program
 flow rules see the full project through ``ctx.project`` — filters findings
 through the inline-pragma suppression index, and returns an
 :class:`AnalysisReport`.
@@ -18,7 +18,6 @@ from pathlib import Path
 # Re-exported for backwards compatibility: these lived here before the
 # flow subpackage needed them without importing the engine.
 from repro.analysis.base import PACKAGE_ROOT, ModuleContext, Rule, package_parts
-from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.flow.project import ModuleInfo, ProjectModel
 from repro.analysis.pragmas import pragma_findings, scan_pragmas
@@ -33,6 +32,10 @@ __all__ = [
     "analyze_paths",
     "analyze_source",
 ]
+
+#: Path components that exclude a file from analysis entirely (matched as
+#: substrings, so ``egg-info`` also covers ``repro.egg-info``).
+EXCLUDE_PARTS = (".git", "__pycache__", ".venv", "build", "dist", "egg-info")
 
 
 @dataclass
@@ -71,42 +74,20 @@ class AnalysisReport:
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def count_by_rule(self) -> dict[str, int]:
-        """Finding counts keyed by rule id."""
-        counts: dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
-        return counts
-
 
 class Analyzer:
     """Run the registered rules over files, directories, or raw source.
 
     Parameters
     ----------
-    config:
-        Analysis configuration; defaults to :class:`AnalysisConfig` with
-        every rule enabled at its default options. Unknown rule ids or
-        names anywhere in the config raise
-        :class:`~repro.exceptions.ConfigurationError` immediately.
     rules:
         Rule classes to run; defaults to the full registry.
     """
 
-    def __init__(
-        self,
-        config: AnalysisConfig | None = None,
-        rules: Sequence[type[Rule]] | None = None,
-    ) -> None:
-        self.config = config or AnalysisConfig()
+    def __init__(self, rules: Sequence[type[Rule]] | None = None) -> None:
         self._known_keys = known_rule_keys()
-        self.config.validate_rule_keys(self._known_keys)
         rule_classes = list(rules) if rules is not None else all_rules()
-        self.rules: list[Rule] = [
-            rule_class()
-            for rule_class in rule_classes
-            if self.config.is_enabled(rule_class.id, rule_class.name)
-        ]
+        self.rules: list[Rule] = [rule_class() for rule_class in rule_classes]
 
     def analyze_paths(self, paths: Iterable[str]) -> AnalysisReport:
         """Analyze files and directories (recursively, ``*.py`` only).
@@ -115,7 +96,7 @@ class Analyzer:
         ----------
         paths:
             Files or directories; directories are walked recursively,
-            skipping components in ``config.exclude_parts``.
+            skipping components in :data:`EXCLUDE_PARTS`.
         """
         sources = [
             (path.read_text(encoding="utf-8"), display)
@@ -196,10 +177,10 @@ class Analyzer:
             collected.append((real, display))
         return collected
 
-    def _excluded(self, path: Path) -> bool:
-        exclude = self.config.exclude_parts
+    @staticmethod
+    def _excluded(path: Path) -> bool:
         return any(
-            any(marker in part for marker in exclude) for part in path.parts
+            any(marker in part for marker in EXCLUDE_PARTS) for part in path.parts
         )
 
     def _analyze_module(
@@ -227,7 +208,6 @@ class Analyzer:
             tree=info.tree,
             source_lines=info.source_lines,
             package_parts=info.package_parts,
-            config=self.config,
             project=project,
         )
         suppressions = scan_pragmas(info.source)
@@ -241,33 +221,22 @@ class Analyzer:
                 else:
                     report.findings.append(finding)
         report.findings.extend(
-            pragma_findings(
-                info.path,
-                suppressions,
-                self._known_keys,
-                require_justification=self.config.require_pragma_justification,
-            )
+            pragma_findings(info.path, suppressions, self._known_keys)
         )
 
 
-def analyze_paths(
-    paths: Iterable[str], config: AnalysisConfig | None = None
-) -> AnalysisReport:
-    """Convenience wrapper: run the default analyzer over ``paths``.
+def analyze_paths(paths: Iterable[str]) -> AnalysisReport:
+    """Convenience wrapper: run every rule over ``paths``.
 
     Parameters
     ----------
     paths:
         Files or directories to analyze.
-    config:
-        Optional configuration override.
     """
-    return Analyzer(config=config).analyze_paths(paths)
+    return Analyzer().analyze_paths(paths)
 
 
-def analyze_source(
-    source: str, path: str, config: AnalysisConfig | None = None
-) -> AnalysisReport:
+def analyze_source(source: str, path: str) -> AnalysisReport:
     """Convenience wrapper: analyze one in-memory module.
 
     Parameters
@@ -276,7 +245,5 @@ def analyze_source(
         Python source text.
     path:
         Virtual path controlling finding addresses and package scoping.
-    config:
-        Optional configuration override.
     """
-    return Analyzer(config=config).analyze_source(source, path)
+    return Analyzer().analyze_source(source, path)

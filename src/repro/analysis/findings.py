@@ -12,31 +12,13 @@ from dataclasses import dataclass, field
 
 
 class Severity(enum.IntEnum):
-    """How bad a finding is; ordering allows threshold filtering."""
+    """How bad a finding is; each rule carries one fixed severity."""
 
-    INFO = 10
     WARNING = 20
     ERROR = 30
 
     def __str__(self) -> str:
         return self.name.lower()
-
-    @classmethod
-    def from_name(cls, name: str) -> "Severity":
-        """Parse ``"info"`` / ``"warning"`` / ``"error"`` (case-insensitive).
-
-        Parameters
-        ----------
-        name:
-            Severity name to parse.
-        """
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise ValueError(
-                f"unknown severity {name!r}; expected one of "
-                f"{[s.name.lower() for s in cls]}"
-            ) from None
 
 
 @dataclass(frozen=True, order=True)
@@ -79,19 +61,6 @@ class Finding:
     def location(self) -> str:
         """``path:line:column`` address of this finding."""
         return f"{self.path}:{self.line}:{self.column}"
-
-    def to_dict(self) -> dict:
-        """JSON-serializable representation (used by ``--format json``)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "column": self.column,
-            "end_line": self.end_line,
-            "rule_id": self.rule_id,
-            "rule_name": self.rule_name,
-            "severity": str(self.severity),
-            "message": self.message,
-        }
 
     def __str__(self) -> str:
         return (

@@ -2,14 +2,12 @@
 
 This subpackage upgrades the per-module linter into a flow-sensitive
 analyzer: :mod:`~repro.analysis.flow.project` parses the full tree once,
-:mod:`~repro.analysis.flow.symbols` and
-:mod:`~repro.analysis.flow.callgraph` resolve names and call edges across
-modules, :mod:`~repro.analysis.flow.taint` traces raw records from sources
-to sinks, and :mod:`~repro.analysis.flow.rules` turns those traces into
-the DPL007–DPL012 findings.
+:mod:`~repro.analysis.flow.symbols` resolves names across modules,
+:mod:`~repro.analysis.flow.taint` traces raw records from sources to
+sinks, and :mod:`~repro.analysis.flow.rules` turns those traces into the
+DPL007 and DPL010–DPL012 findings.
 """
 
-from repro.analysis.flow.callgraph import CallGraph, CallSite, qualified_functions
 from repro.analysis.flow.project import (
     ModuleInfo,
     ProjectModel,
@@ -21,14 +19,11 @@ from repro.analysis.flow.taint import (
     FunctionTaintAnalysis,
     SinkEvent,
     TaintLabel,
-    TaintOptions,
     dead_sanitizer_assignments,
     iter_function_defs,
 )
 
 __all__ = [
-    "CallGraph",
-    "CallSite",
     "FunctionTaintAnalysis",
     "ModuleInfo",
     "ModuleSymbols",
@@ -37,10 +32,8 @@ __all__ = [
     "SinkEvent",
     "Symbol",
     "TaintLabel",
-    "TaintOptions",
     "dead_sanitizer_assignments",
     "iter_function_defs",
     "module_name_for",
-    "qualified_functions",
     "single_module_project",
 ]

@@ -2,8 +2,7 @@
 
 :class:`ProjectModel` parses every module of the analyzed set exactly once
 and exposes the shared artifacts the flow rules build on: the module table
-(dotted name → parsed AST), the module-level symbol tables, and the
-intra-package call graph. Serial and parallel analyzers both construct one
+(dotted name → parsed AST) and the module-level symbol tables. Serial and parallel analyzers both construct one
 project per process, so a file is never re-parsed per rule.
 """
 
@@ -98,7 +97,6 @@ class ProjectModel:
             # resolution stays deterministic under any file ordering.
             self._by_name.setdefault(info.name, info)
         self._symbols: "object | None" = None
-        self._callgraph: "object | None" = None
 
     @classmethod
     def from_sources(cls, pairs: Iterable[tuple[str, str]]) -> "ProjectModel":
@@ -142,15 +140,6 @@ class ProjectModel:
 
             self._symbols = ProjectSymbols(self)
         return self._symbols  # type: ignore[return-value]
-
-    @property
-    def callgraph(self) -> "CallGraph":
-        """Lazily-built intra-package call graph."""
-        if self._callgraph is None:
-            from repro.analysis.flow.callgraph import CallGraph
-
-            self._callgraph = CallGraph.build(self)
-        return self._callgraph  # type: ignore[return-value]
 
     def __len__(self) -> int:
         return len(self.modules)

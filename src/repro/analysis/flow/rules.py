@@ -1,12 +1,11 @@
-"""Flow rules DPL007–DPL012: whole-program privacy dataflow checks.
+"""Flow rules: whole-program privacy dataflow checks.
 
 These rules run on top of the taint engine
 (:mod:`repro.analysis.flow.taint`) and the project model
 (:mod:`repro.analysis.flow.project`). Where the DPL001–DPL006 rules police
 local idioms, the flow rules trace *values*: raw records reaching an
-egress point, releases that bypass the privacy accountant, budgets that
-drift between construction and accounting, and privatized results that are
-thrown away.
+egress point or an exception message, scalar releases that should be one
+vectorized draw, and privatized results that are thrown away.
 """
 
 from __future__ import annotations
@@ -14,9 +13,8 @@ from __future__ import annotations
 import ast
 from collections.abc import Callable, Iterator
 
-from repro.analysis.base import ModuleContext, Rule, dotted_name
+from repro.analysis.base import ModuleContext, Rule
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.flow.callgraph import qualified_functions
 from repro.analysis.flow.project import (
     ProjectModel,
     module_name_for,
@@ -24,33 +22,20 @@ from repro.analysis.flow.project import (
 )
 from repro.analysis.flow.taint import (
     FunctionTaintAnalysis,
-    TaintOptions,
     dead_sanitizer_assignments,
     iter_function_defs,
 )
 from repro.analysis.registry import register
 
-#: Option keys shared by every taint-driven rule; values mirror
-#: :class:`~repro.analysis.flow.taint.TaintOptions` defaults.
-_TAINT_OPTION_KEYS = (
-    "source_params",
-    "source_call_prefixes",
-    "source_methods",
-    "source_attributes",
-    "sanitizer_methods",
-    "sanitizer_call_prefixes",
-    "pure_callables",
-    "metadata_attributes",
-)
-_TAINT_DEFAULTS = {
-    key: getattr(TaintOptions(), key) for key in _TAINT_OPTION_KEYS
-}
+#: Sink kinds DPL007 enforces everywhere. ``return`` is an egress sink only
+#: in :data:`RETURN_SINK_PACKAGES`, because experiments legitimately return
+#: data-derived aggregates.
+EGRESS_SINKS = frozenset({"print", "logging", "file-write", "ledger"})
+RETURN_SINK_PACKAGES = frozenset({"serving"})
 
 
 class FlowRule(Rule):
-    """Base class for whole-program rules: project access + taint setup."""
-
-    requires_project = True
+    """Base class for whole-program rules: project-aware name resolution."""
 
     def project_for(self, ctx: ModuleContext) -> ProjectModel:
         """The whole-program model, or a one-module fallback.
@@ -79,21 +64,6 @@ class FlowRule(Rule):
             return lambda name: symbols.canonicalize(module_name, name)
         return ctx.imports.resolve
 
-    def taint_options(self, ctx: ModuleContext) -> TaintOptions:
-        """Taint configuration assembled from this rule's options.
-
-        Parameters
-        ----------
-        ctx:
-            The module under analysis.
-        """
-        values = {
-            key: tuple(self.option(ctx, key))
-            for key in _TAINT_OPTION_KEYS
-            if key in self.default_options
-        }
-        return TaintOptions(**values)
-
 
 @register
 class RawDataEgressRule(FlowRule):
@@ -111,35 +81,18 @@ class RawDataEgressRule(FlowRule):
         "epsilon ledger says one thing while the process leaks the raw "
         "empirical risk (Mir 2012's information channel with no noise)."
     )
-    default_severity = Severity.ERROR
-    default_options = {
-        "packages": (
-            "",
-            "experiments",
-            "testing",
-            "privacy",
-            "serving",
-            "private_learning",
-            "local_privacy",
-        ),
-        # Sink kinds this rule enforces; "return" sinks are gated separately
-        # because experiments legitimately return data-derived aggregates.
-        "sinks": ("print", "logging", "file-write", "ledger"),
-        "return_sink_packages": ("serving",),
-        **_TAINT_DEFAULTS,
-    }
+    severity = Severity.ERROR
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Yield findings for tainted values reaching egress sinks."""
-        if not self.applies_to(ctx):
+        if not ctx.in_library:
             return
-        sinks = set(self.option(ctx, "sinks"))
-        if ctx.package in set(self.option(ctx, "return_sink_packages")):
-            sinks.add("return")
-        options = self.taint_options(ctx)
+        sinks = EGRESS_SINKS
+        if ctx.package in RETURN_SINK_PACKAGES:
+            sinks = sinks | {"return"}
         canonicalize = self.canonicalizer(ctx)
         for _, func in iter_function_defs(ctx.tree):
-            analysis = FunctionTaintAnalysis(func, options, canonicalize)
+            analysis = FunctionTaintAnalysis(func, canonicalize)
             for event in analysis.iter_sink_events():
                 if event.kind not in sinks:
                     continue
@@ -150,188 +103,6 @@ class RawDataEgressRule(FlowRule):
                     f"{event.detail} without a DP release; privatize with "
                     "release()/release_many() before egress",
                 )
-
-
-@register
-class UnaccountedReleaseRule(FlowRule):
-    """DPL008: releases near an accountant must be charged to it."""
-
-    id = "DPL008"
-    name = "unaccounted-release"
-    description = (
-        "A function holding a privacy accountant that calls release() "
-        "must charge the spend (here, or in a direct caller/callee)."
-    )
-    rationale = (
-        "An accountant that is in scope but never charged is worse than no "
-        "accountant: the composition bound it reports certifies spends "
-        "that never reached it, so the reported epsilon understates the "
-        "true loss."
-    )
-    default_severity = Severity.ERROR
-    default_options = {
-        "accountant_param_markers": ("accountant", "acct"),
-        "accountant_constructors": ("PrivacyAccountant",),
-        "release_methods": ("release", "release_many"),
-        "charge_methods": ("charge", "run"),
-    }
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        """Yield findings for uncharged releases near an accountant."""
-        project = self.project_for(ctx)
-        module_name = module_name_for(ctx.package_parts)
-        functions = qualified_functions(project)
-        graph = project.callgraph
-        release_methods = set(self.option(ctx, "release_methods"))
-        charge_methods = set(self.option(ctx, "charge_methods"))
-        for display_name, func in iter_function_defs(ctx.tree):
-            if not self._has_accountant(func, ctx):
-                continue
-            releases = [
-                node
-                for node in ast.walk(func)
-                if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in release_methods
-            ]
-            if not releases:
-                continue
-            qualname = f"{module_name}.{display_name}"
-            neighborhood = graph.neighborhood(qualname)
-            charged = any(
-                self._charges(functions[member][1], charge_methods)
-                for member in neighborhood
-                if member in functions
-            ) or self._charges(func, charge_methods)
-            if charged:
-                continue
-            for release in releases:
-                yield self.finding(
-                    ctx,
-                    release,
-                    "release() with a privacy accountant in scope but no "
-                    "charge()/run() in this function or its direct "
-                    "callers/callees; charge the spend or use "
-                    "accountant.run(mechanism, dataset)",
-                )
-
-    def _has_accountant(
-        self, func: ast.FunctionDef | ast.AsyncFunctionDef, ctx: ModuleContext
-    ) -> bool:
-        markers = tuple(self.option(ctx, "accountant_param_markers"))
-        constructors = set(self.option(ctx, "accountant_constructors"))
-        args = func.args
-        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-            if any(marker in arg.arg for marker in markers):
-                return True
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                written = dotted_name(node.value.func)
-                if written is None:
-                    continue
-                resolved = ctx.imports.resolve(written)
-                if resolved.rsplit(".", 1)[-1] in constructors:
-                    return True
-        return False
-
-    @staticmethod
-    def _charges(func: ast.AST, charge_methods: set[str]) -> bool:
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in charge_methods
-            ):
-                return True
-        return False
-
-
-@register
-class EpsilonDriftRule(FlowRule):
-    """DPL009: the charged epsilon must match the mechanism's epsilon."""
-
-    id = "DPL009"
-    name = "epsilon-drift"
-    description = (
-        "Within one function, the epsilon a mechanism is constructed with "
-        "must equal the epsilon charged via PrivacySpec."
-    )
-    rationale = (
-        "When the mechanism adds noise for eps=1.0 but the ledger is "
-        "charged eps=0.5, the accountant's composition bound is simply "
-        "false — the classic copy-paste drift after tuning one of the two "
-        "numbers."
-    )
-    default_severity = Severity.WARNING
-    default_options = {
-        "spec_constructors": ("PrivacySpec",),
-    }
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        """Yield findings where constructed and charged epsilons differ."""
-        spec_names = set(self.option(ctx, "spec_constructors"))
-        for _, func in iter_function_defs(ctx.tree):
-            constants = self._local_constants(func)
-            mech_eps: dict[float, ast.Call] = {}
-            spec_eps: dict[float, ast.Call] = {}
-            for node in ast.walk(func):
-                if not isinstance(node, ast.Call):
-                    continue
-                written = dotted_name(node.func)
-                if written is None:
-                    continue
-                callee = written.rsplit(".", 1)[-1]
-                value = self._epsilon_argument(node, constants)
-                if value is None:
-                    continue
-                if callee in spec_names:
-                    spec_eps.setdefault(value, node)
-                elif callee[:1].isupper():
-                    mech_eps.setdefault(value, node)
-            if not mech_eps or not spec_eps:
-                continue
-            if set(mech_eps) == set(spec_eps):
-                continue
-            anchor = next(iter(spec_eps.values()))
-            yield self.finding(
-                ctx,
-                anchor,
-                "epsilon drift: mechanism constructed with epsilon "
-                f"{sorted(mech_eps)} but PrivacySpec charges epsilon "
-                f"{sorted(spec_eps)}; the accounted budget must match the "
-                "noise actually added",
-            )
-
-    @staticmethod
-    def _local_constants(func: ast.AST) -> dict[str, float]:
-        constants: dict[str, float] = {}
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Constant)
-                and isinstance(node.value.value, (int, float))
-                and not isinstance(node.value.value, bool)
-            ):
-                constants[node.targets[0].id] = float(node.value.value)
-        return constants
-
-    @staticmethod
-    def _epsilon_argument(
-        node: ast.Call, constants: dict[str, float]
-    ) -> float | None:
-        for keyword in node.keywords:
-            if keyword.arg != "epsilon":
-                continue
-            value = keyword.value
-            if isinstance(value, ast.Constant) and isinstance(
-                value.value, (int, float)
-            ):
-                return float(value.value)
-            if isinstance(value, ast.Name):
-                return constants.get(value.id)
-        return None
 
 
 @register
@@ -350,14 +121,10 @@ class ScalarReleaseInLoopRule(FlowRule):
         "(bit-identical by the mechanism contract) and records one span "
         "instead of n."
     )
-    default_severity = Severity.WARNING
-    default_options = {
-        "release_methods": ("release",),
-    }
+    severity = Severity.WARNING
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Yield findings for loop-invariant scalar releases."""
-        release_methods = set(self.option(ctx, "release_methods"))
         for _, func in iter_function_defs(ctx.tree):
             parents = {
                 child: parent
@@ -368,7 +135,7 @@ class ScalarReleaseInLoopRule(FlowRule):
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in release_methods
+                    and node.func.attr == "release"
                 ):
                     continue
                 loop_names = self._innermost_loop_names(node, func, parents)
@@ -462,15 +229,13 @@ class TaintThroughExceptionRule(FlowRule):
         "that interpolates the offending record republishes the data the "
         "mechanism was supposed to protect."
     )
-    default_severity = Severity.WARNING
-    default_options = dict(_TAINT_DEFAULTS)
+    severity = Severity.WARNING
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Yield findings for tainted values reaching raise statements."""
-        options = self.taint_options(ctx)
         canonicalize = self.canonicalizer(ctx)
         for _, func in iter_function_defs(ctx.tree):
-            analysis = FunctionTaintAnalysis(func, options, canonicalize)
+            analysis = FunctionTaintAnalysis(func, canonicalize)
             for event in analysis.iter_sink_events():
                 if event.kind != "raise":
                     continue
@@ -498,16 +263,12 @@ class DeadSanitizerRule(FlowRule):
         "noise was drawn, the budget (if accounted) was charged, and "
         "nothing was learned. Almost always a refactoring leftover."
     )
-    default_severity = Severity.WARNING
-    default_options = dict(_TAINT_DEFAULTS)
+    severity = Severity.WARNING
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Yield findings for discarded release results."""
-        options = self.taint_options(ctx)
-        canonicalize = self.canonicalizer(ctx)
         for _, func in iter_function_defs(ctx.tree):
-            analysis = FunctionTaintAnalysis(func, options, canonicalize)
-            for call in dead_sanitizer_assignments(func, analysis):
+            for call in dead_sanitizer_assignments(func):
                 yield self.finding(
                     ctx,
                     call,

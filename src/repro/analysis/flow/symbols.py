@@ -93,10 +93,6 @@ class ProjectSymbols:
         self._tables: dict[str, ModuleSymbols] = {
             info.name: ModuleSymbols(info) for info in project.modules
         }
-        self.by_qualname: dict[str, Symbol] = {}
-        for table in self._tables.values():
-            for symbol in table.by_name.values():
-                self.by_qualname.setdefault(symbol.qualname, symbol)
 
     def canonicalize(self, module_name: str, name: str) -> str:
         """Canonical dotted name for ``name`` as written inside a module.
@@ -121,27 +117,3 @@ class ProjectSymbols:
             local = table.by_name[head].qualname
             return f"{local}.{rest}" if rest else local
         return info.imports.resolve(name)
-
-    def resolve(self, module_name: str, name: str) -> Symbol | None:
-        """The :class:`Symbol` a written name refers to, if it is in-project.
-
-        Parameters
-        ----------
-        module_name:
-            Dotted name of the module the reference appears in.
-        name:
-            The dotted name exactly as written in source.
-        """
-        canonical = self.canonicalize(module_name, name)
-        symbol = self.by_qualname.get(canonical)
-        if symbol is not None:
-            return symbol
-        # ``from repro.core import bayes`` + ``bayes.fit`` canonicalizes to
-        # ``repro.core.bayes.fit``: the head resolves to a *module*, and the
-        # tail is a symbol inside it.
-        module_part, _, member = canonical.rpartition(".")
-        if member and self._project.module(module_part) is not None:
-            table = self._tables.get(module_part)
-            if table is not None:
-                return table.by_name.get(member)
-        return None

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "TaintLabel",
-    "TaintOptions",
     "SinkEvent",
     "FunctionTaintAnalysis",
     "iter_function_defs",
@@ -60,35 +59,9 @@ class TaintLabel:
         return f"call to {self.source!r}"
 
 
-@dataclass(frozen=True)
-class TaintOptions:
-    """Knobs controlling what counts as a source, sanitizer, or pure call.
-
-    Parameters
-    ----------
-    source_params:
-        Parameter names seeded as raw data on entry.
-    source_call_prefixes:
-        Canonical dotted-name prefixes whose call results are raw data
-        (dataset loaders, neighbour-pair generators).
-    source_methods:
-        Method names whose call results are raw data regardless of the
-        receiver (``task.sample(...)``).
-    source_attributes:
-        ``self.<attr>`` names holding raw data.
-    sanitizer_methods:
-        Method names that declassify (DP release calls).
-    sanitizer_call_prefixes:
-        Canonical dotted-name prefixes that declassify.
-    pure_callables:
-        Canonical callables whose results are treated as benign metadata
-        even with tainted arguments.
-    metadata_attributes:
-        Attribute names whose access on tainted values yields benign
-        metadata (array shape/dtype), not data.
-    """
-
-    source_params: tuple[str, ...] = (
+#: Parameter names seeded as raw data on entry.
+SOURCE_PARAMS = frozenset(
+    {
         "dataset",
         "datasets",
         "data",
@@ -100,16 +73,20 @@ class TaintOptions:
         "dataset_a",
         "dataset_b",
         "raw",
-    )
-    source_call_prefixes: tuple[str, ...] = (
-        "repro.learning.datasets.",
-        "repro.testing.neighbors.",
-    )
-    source_methods: tuple[str, ...] = ("sample",)
-    source_attributes: tuple[str, ...] = ()
-    sanitizer_methods: tuple[str, ...] = ("release", "release_many")
-    sanitizer_call_prefixes: tuple[str, ...] = ()
-    pure_callables: tuple[str, ...] = (
+    }
+)
+#: Canonical dotted-name prefixes whose call results are raw data (dataset
+#: loaders, neighbour-pair generators).
+SOURCE_CALL_PREFIXES = ("repro.learning.datasets.", "repro.testing.neighbors.")
+#: Method names whose call results are raw data regardless of the receiver
+#: (``task.sample(...)``).
+SOURCE_METHODS = frozenset({"sample"})
+#: Method names that declassify: the DP release calls.
+SANITIZER_METHODS = frozenset({"release", "release_many"})
+#: Canonical callables whose results are benign metadata even with tainted
+#: arguments.
+PURE_CALLABLES = frozenset(
+    {
         "len",
         "type",
         "isinstance",
@@ -119,8 +96,19 @@ class TaintOptions:
         "numpy.ndim",
         "numpy.size",
         "numpy.result_type",
+    }
+)
+#: Attribute names whose access on tainted values yields benign metadata
+#: (array shape/dtype), not data.
+METADATA_ATTRIBUTES = frozenset({"shape", "ndim", "size", "dtype"})
+
+
+def is_sanitizer_call(node: ast.Call) -> bool:
+    """Whether ``node`` is a declassifying (DP release) call."""
+    return (
+        isinstance(node.func, ast.Attribute)
+        and node.func.attr in SANITIZER_METHODS
     )
-    metadata_attributes: tuple[str, ...] = ("shape", "ndim", "size", "dtype")
 
 
 @dataclass(frozen=True)
@@ -167,8 +155,6 @@ class FunctionTaintAnalysis:
     ----------
     func:
         The function to analyze.
-    options:
-        Source/sanitizer/pure-call configuration.
     canonicalize:
         Maps a dotted name as written to its canonical form (import-alias
         and project-symbol aware).
@@ -179,11 +165,9 @@ class FunctionTaintAnalysis:
     def __init__(
         self,
         func: ast.FunctionDef | ast.AsyncFunctionDef,
-        options: TaintOptions,
         canonicalize: Callable[[str], str],
     ) -> None:
         self.func = func
-        self.options = options
         self.canonicalize = canonicalize
         self.env: dict[str, TaintLabel] = {}
         self._seed_params()
@@ -199,9 +183,8 @@ class FunctionTaintAnalysis:
             *args.kwonlyargs,
             *filter(None, [args.vararg, args.kwarg]),
         ]
-        wanted = set(self.options.source_params)
         for arg in all_args:
-            if arg.arg in wanted:
+            if arg.arg in SOURCE_PARAMS:
                 self.env[arg.arg] = TaintLabel(
                     kind="param", source=arg.arg, line=arg.lineno
                 )
@@ -271,15 +254,7 @@ class FunctionTaintAnalysis:
         if isinstance(node, ast.Name):
             return self.env.get(node.id)
         if isinstance(node, ast.Attribute):
-            if (
-                isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-                and node.attr in self.options.source_attributes
-            ):
-                return TaintLabel(
-                    kind="param", source=f"self.{node.attr}", line=node.lineno
-                )
-            if node.attr in self.options.metadata_attributes:
+            if node.attr in METADATA_ATTRIBUTES:
                 return None
             return self.expr_label(node.value)
         if isinstance(node, ast.Call):
@@ -335,19 +310,18 @@ class FunctionTaintAnalysis:
         return self.expr_label(elt)
 
     def _call_label(self, node: ast.Call) -> TaintLabel | None:
-        if self.is_sanitizer_call(node):
+        if is_sanitizer_call(node):
             return None
         written = self._written_name(node.func)
         if written is not None:
             canonical = self.canonicalize(written)
-            if canonical in self.options.pure_callables:
+            if canonical in PURE_CALLABLES:
                 return None
-            for prefix in self.options.source_call_prefixes:
-                if canonical.startswith(prefix):
-                    return TaintLabel(kind="call", source=written, line=node.lineno)
+            if canonical.startswith(SOURCE_CALL_PREFIXES):
+                return TaintLabel(kind="call", source=written, line=node.lineno)
         if (
             isinstance(node.func, ast.Attribute)
-            and node.func.attr in self.options.source_methods
+            and node.func.attr in SOURCE_METHODS
         ):
             receiver = self._written_name(node.func.value) or "<expr>"
             return TaintLabel(
@@ -366,22 +340,6 @@ class FunctionTaintAnalysis:
             if label is not None:
                 return label
         return self.expr_label(node.func) if isinstance(node.func, ast.Attribute) else None
-
-    def is_sanitizer_call(self, node: ast.Call) -> bool:
-        """Whether ``node`` is a declassifying (DP release) call."""
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in self.options.sanitizer_methods
-        ):
-            return True
-        written = self._written_name(node.func)
-        if written is None:
-            return False
-        canonical = self.canonicalize(written)
-        return any(
-            canonical.startswith(prefix)
-            for prefix in self.options.sanitizer_call_prefixes
-        )
 
     @staticmethod
     def _written_name(node: ast.AST) -> str | None:
@@ -494,7 +452,6 @@ class _SanitizerUse:
 
 def dead_sanitizer_assignments(
     func: ast.FunctionDef | ast.AsyncFunctionDef,
-    analysis: FunctionTaintAnalysis,
 ) -> Iterator[ast.Call]:
     """Yield sanitizer calls whose privatized result is never used.
 
@@ -507,17 +464,15 @@ def dead_sanitizer_assignments(
     ----------
     func:
         The function to scan.
-    analysis:
-        The taint analysis for ``func`` (supplies sanitizer detection).
     """
     uses: list[_SanitizerUse] = []
     for node in ast.walk(func):
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
-            if analysis.is_sanitizer_call(node.value):
+            if is_sanitizer_call(node.value):
                 uses.append(_SanitizerUse(node=node.value))
         elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
             if (
-                analysis.is_sanitizer_call(node.value)
+                is_sanitizer_call(node.value)
                 and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
             ):

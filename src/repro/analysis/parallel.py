@@ -1,13 +1,13 @@
 """Process-parallel ``dplint`` with bit-identical output.
 
-``--jobs N`` fans per-module rule dispatch across a process pool. Each
-worker receives the **full** source list once (at pool initialization) and
-builds the same :class:`~repro.analysis.flow.project.ProjectModel` the
-serial analyzer would, so whole-program rules see identical context in
-every process; workers then analyze only their assigned modules. Results
-are merged in submission order and sorted exactly like the serial path,
-which makes parallel output byte-identical to serial — a property the test
-suite pins.
+The CLI fans per-module rule dispatch across ``min(os.cpu_count(), files)``
+worker processes. Each worker receives the **full** source list once (at
+pool initialization) and builds the same
+:class:`~repro.analysis.flow.project.ProjectModel` the serial analyzer
+would, so whole-program rules see identical context in every process;
+workers then analyze only their assigned modules. Results are merged in
+submission order and sorted exactly like the serial path, which makes
+parallel output byte-identical to serial — a property the test suite pins.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from repro.analysis.config import AnalysisConfig
 from repro.analysis.engine import AnalysisReport, Analyzer
 from repro.analysis.findings import Finding
+from repro.analysis.flow.project import ProjectModel
 
-__all__ = ["analyze_paths_parallel", "analyze_sources_parallel"]
+__all__ = ["analyze_paths_parallel"]
 
 
 @dataclass
@@ -28,35 +28,27 @@ class _WorkerState:
     """Per-process analyzer state built once by the pool initializer."""
 
     analyzer: Analyzer
-    project: "object"
-    suppressions_known: bool = True
+    project: ProjectModel
 
 
 _STATE: _WorkerState | None = None
 
 
-def _init_worker(
-    sources: Sequence[tuple[str, str]], config: AnalysisConfig
-) -> None:
+def _init_worker(sources: Sequence[tuple[str, str]]) -> None:
     """Pool initializer: parse the whole project once per worker process.
 
     Parameters
     ----------
     sources:
         Every ``(source, path)`` pair of the run.
-    config:
-        The (picklable) analysis configuration.
     """
-    from repro.analysis.flow.project import ProjectModel
-
     global _STATE
-    analyzer = Analyzer(config=config)
     _STATE = _WorkerState(
-        analyzer=analyzer, project=ProjectModel.from_sources(sources)
+        analyzer=Analyzer(), project=ProjectModel.from_sources(sources)
     )
 
 
-def _analyze_index(index: int) -> tuple[int, list[Finding], int]:
+def _analyze_index(index: int) -> tuple[list[Finding], int]:
     """Analyze one module of the worker's project by position.
 
     Parameters
@@ -65,82 +57,40 @@ def _analyze_index(index: int) -> tuple[int, list[Finding], int]:
         Position of the module in the shared source list.
     """
     assert _STATE is not None, "worker used before initialization"
-    from repro.analysis.flow.project import ProjectModel
-
     project = _STATE.project
-    assert isinstance(project, ProjectModel)
     report = AnalysisReport()
     _STATE.analyzer._analyze_module(report, project.modules[index], project)
-    return index, report.findings, report.suppressed_count
+    return report.findings, report.suppressed_count
 
 
-def analyze_sources_parallel(
-    sources: Sequence[tuple[str, str]],
-    config: AnalysisConfig | None = None,
-    *,
-    jobs: int,
-) -> AnalysisReport:
-    """Analyze ``(source, path)`` pairs across ``jobs`` processes.
-
-    Parameters
-    ----------
-    sources:
-        Module source text and path pairs, in collection order.
-    config:
-        Analysis configuration shared by every worker.
-    jobs:
-        Requested process count; clamped to the number of files. ``jobs
-        <= 1`` (or a single file) falls back to the serial analyzer.
-    """
-    config = config or AnalysisConfig()
-    if jobs <= 1 or len(sources) <= 1:
-        return Analyzer(config=config).analyze_sources(sources)
-    # Validate config (and registry keys) in the parent before forking so
-    # a ConfigurationError surfaces once, not once per worker.
-    Analyzer(config=config)
-    workers = min(jobs, len(sources))
-    per_index: dict[int, tuple[list[Finding], int]] = {}
-    files_checked = 0
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(tuple(sources), config),
-    ) as pool:
-        for index, findings, suppressed in pool.map(
-            _analyze_index, range(len(sources))
-        ):
-            per_index[index] = (findings, suppressed)
-            files_checked += 1
-    report = AnalysisReport(files_checked=files_checked)
-    for index in sorted(per_index):
-        findings, suppressed = per_index[index]
-        report.findings.extend(findings)
-        report.suppressed_count += suppressed
-    report.findings.sort()
-    return report
-
-
-def analyze_paths_parallel(
-    paths: Iterable[str],
-    config: AnalysisConfig | None = None,
-    *,
-    jobs: int,
-) -> AnalysisReport:
-    """Parallel counterpart of :func:`repro.analysis.engine.analyze_paths`.
+def analyze_paths_parallel(paths: Iterable[str], *, jobs: int) -> AnalysisReport:
+    """Analyze files and directories across up to ``jobs`` processes.
 
     Parameters
     ----------
     paths:
         Files or directories to analyze.
-    config:
-        Analysis configuration shared by every worker.
     jobs:
-        Requested process count (see :func:`analyze_sources_parallel`).
+        Requested process count; clamped to the number of files. One
+        worker (or a single file) runs the serial analyzer in-process.
     """
-    config = config or AnalysisConfig()
-    collector = Analyzer(config=config)
+    analyzer = Analyzer()
     sources = [
         (path.read_text(encoding="utf-8"), display)
-        for path, display in collector.collect(paths)
+        for path, display in analyzer.collect(paths)
     ]
-    return analyze_sources_parallel(sources, config, jobs=jobs)
+    workers = min(jobs, len(sources))
+    if workers <= 1:
+        return analyzer.analyze_sources(sources)
+    report = AnalysisReport(files_checked=len(sources))
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_init_worker,
+        initargs=(tuple(sources),),
+    ) as pool:
+        # map() yields in submission order, so the merge is deterministic.
+        for findings, suppressed in pool.map(_analyze_index, range(len(sources))):
+            report.findings.extend(findings)
+            report.suppressed_count += suppressed
+    report.findings.sort()
+    return report

@@ -132,11 +132,7 @@ def scan_pragmas(source: str) -> SuppressionIndex:
 
 
 def pragma_findings(
-    path: str,
-    index: SuppressionIndex,
-    known_keys: frozenset[str],
-    *,
-    require_justification: bool = True,
+    path: str, index: SuppressionIndex, known_keys: frozenset[str]
 ) -> list[Finding]:
     """Findings for malformed pragmas (unknown rules, missing justification).
 
@@ -148,8 +144,6 @@ def pragma_findings(
         Pragmas scanned from the file.
     known_keys:
         Valid rule ids and names; anything else in a pragma is reported.
-    require_justification:
-        When true, pragmas without ``-- <reason>`` text are reported.
     """
     findings = []
     for pragma in index.pragmas.values():
@@ -177,7 +171,7 @@ def pragma_findings(
                     ),
                 )
             )
-        if require_justification and not pragma.justification:
+        if not pragma.justification:
             findings.append(
                 Finding(
                     path=path,

@@ -19,7 +19,6 @@ _RULE_MODULES = (
     "repro.analysis.rules.rng",
     "repro.analysis.rules.validation",
     "repro.analysis.rules.sampling",
-    "repro.analysis.rules.exceptions",
     "repro.analysis.rules.exports",
     "repro.analysis.rules.docstrings",
     "repro.analysis.flow.rules",
@@ -77,7 +76,7 @@ def get_rule(key: str) -> type[Rule]:
 
 
 def known_rule_keys() -> frozenset[str]:
-    """All valid ids and names (accepted in pragmas and ``--select``)."""
+    """All valid ids and names (accepted in pragmas)."""
     _load_builtin_rules()
     keys = set()
     for rule_class in _REGISTRY.values():

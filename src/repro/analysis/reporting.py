@@ -1,8 +1,6 @@
-"""Text, JSON, and SARIF renderers for ``dplint`` reports."""
+"""Text and SARIF renderers for ``dplint`` reports."""
 
 from __future__ import annotations
-
-import json
 
 from repro.analysis.engine import AnalysisReport
 from repro.analysis.registry import all_rules
@@ -10,7 +8,7 @@ from repro.analysis.sarif import format_sarif
 from repro.exceptions import ValidationError
 
 #: Output formats accepted by the CLI.
-FORMATS = ("text", "json", "sarif")
+FORMATS = ("text", "sarif")
 
 
 def format_text(report: AnalysisReport) -> str:
@@ -24,7 +22,7 @@ def format_text(report: AnalysisReport) -> str:
     lines = [str(finding) for finding in report.findings]
     counts = report.count_by_severity()
     summary = ", ".join(
-        f"{counts[name]} {name}" for name in ("error", "warning", "info") if name in counts
+        f"{counts[name]} {name}" for name in ("error", "warning") if name in counts
     )
     hidden_note = (
         f" ({report.suppressed_count} suppressed)" if report.suppressed_count else ""
@@ -42,27 +40,6 @@ def format_text(report: AnalysisReport) -> str:
     return "\n".join(lines)
 
 
-def format_json(report: AnalysisReport) -> str:
-    """Machine-readable rendering (stable keys, sorted findings).
-
-    Parameters
-    ----------
-    report:
-        The analyzer outcome to render.
-    """
-    payload = {
-        "files_checked": report.files_checked,
-        "suppressed": report.suppressed_count,
-        "ok": report.ok,
-        "summary": {
-            "by_severity": report.count_by_severity(),
-            "by_rule": report.count_by_rule(),
-        },
-        "findings": [finding.to_dict() for finding in report.findings],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def format_report(report: AnalysisReport, fmt: str = "text") -> str:
     """Render ``report`` in the requested format.
 
@@ -75,8 +52,6 @@ def format_report(report: AnalysisReport, fmt: str = "text") -> str:
     """
     if fmt == "text":
         return format_text(report)
-    if fmt == "json":
-        return format_json(report)
     if fmt == "sarif":
         return format_sarif(report)
     raise ValidationError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -88,6 +63,6 @@ def format_rule_catalog() -> str:
     for rule_class in all_rules():
         lines.append(
             f"{rule_class.id}  {rule_class.name:<26} "
-            f"[{rule_class.default_severity}] {rule_class.description}"
+            f"[{rule_class.severity}] {rule_class.description}"
         )
     return "\n".join(lines)

@@ -7,7 +7,6 @@ Importing this package registers every rule with
 from repro.analysis.rules.rng import RngDisciplineRule
 from repro.analysis.rules.validation import ValidatePrivacyParamsRule
 from repro.analysis.rules.sampling import NoNaiveSamplingRule
-from repro.analysis.rules.exceptions import NoSilentExceptRule
 from repro.analysis.rules.exports import ExplicitExportsRule
 from repro.analysis.rules.docstrings import DocstringParametersRule
 
@@ -15,7 +14,6 @@ __all__ = [
     "DocstringParametersRule",
     "ExplicitExportsRule",
     "NoNaiveSamplingRule",
-    "NoSilentExceptRule",
     "RngDisciplineRule",
     "ValidatePrivacyParamsRule",
 ]

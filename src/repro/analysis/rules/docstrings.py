@@ -44,6 +44,25 @@ def _has_decorator(func: ast.FunctionDef | ast.AsyncFunctionDef, name: str) -> b
     return False
 
 
+#: Packages whose public API must document itself.
+PACKAGES = frozenset(
+    {
+        "mechanisms",
+        "distributions",
+        "private_learning",
+        "privacy",
+        "local_privacy",
+        "analysis",
+        "testing",
+        "observability",
+        "serving",
+    }
+)
+#: A Parameters section is required from this many documentable params.
+MIN_PARAMS = 2
+SECTION_MARKER = "Parameters"
+
+
 @register
 class DocstringParametersRule(Rule):
     """Public defs need docstrings; multi-parameter ones need Parameters."""
@@ -52,40 +71,20 @@ class DocstringParametersRule(Rule):
     name = "docstring-parameters"
     description = (
         "Public functions/methods must have a docstring; those with >= "
-        "min_params parameters must document them in a Parameters section "
-        "(for __init__, on the class docstring)."
+        f"{MIN_PARAMS} parameters must document them in a Parameters "
+        "section (for __init__, on the class docstring)."
     )
     rationale = (
         "Privacy parameters are easy to mis-set silently (per-release vs "
         "total epsilon, L1 vs L2 sensitivity); the Parameters section is "
         "where that contract lives."
     )
-    default_severity = Severity.WARNING
-    default_options = {
-        "packages": (
-            "mechanisms",
-            "distributions",
-            "private_learning",
-            "privacy",
-            "local_privacy",
-            "analysis",
-            "testing",
-            "observability",
-            "serving",
-        ),
-        # Parameters section required from this many documentable params.
-        "min_params": 2,
-        "section_marker": "Parameters",
-        # Dunder methods other than __init__ never need docstrings here.
-        "require_on_overrides": True,
-    }
+    severity = Severity.WARNING
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Yield findings for undocumented public API."""
-        if not self.applies_to(ctx):
+        if ctx.package not in PACKAGES:
             return
-        marker = self.option(ctx, "section_marker")
-        min_params = int(self.option(ctx, "min_params"))
         for func, owner in walk_functions(ctx.tree):
             is_init = func.name == "__init__"
             if func.name.startswith("__") and not is_init:
@@ -121,10 +120,11 @@ class DocstringParametersRule(Rule):
             # Plain methods only need a docstring.
             if owner is not None and not is_init:
                 continue
-            if _documentable_params(func) >= min_params and marker not in doc:
+            params = _documentable_params(func)
+            if params >= MIN_PARAMS and SECTION_MARKER not in doc:
                 yield self.finding(
                     ctx,
                     func,
-                    f"{where} takes {_documentable_params(func)} parameters "
-                    f"but its docstring has no {marker!r} section",
+                    f"{where} takes {params} parameters "
+                    f"but its docstring has no {SECTION_MARKER!r} section",
                 )

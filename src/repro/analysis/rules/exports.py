@@ -80,12 +80,7 @@ class ExplicitExportsRule(Rule):
         "__all__ is the audited privacy-review surface: stale entries break "
         "star-imports, and unlisted public names escape review."
     )
-    default_severity = Severity.ERROR
-    default_options = {
-        # Names a package may bind publicly without exporting (submodule
-        # imports made for side effects).
-        "ignored_names": (),
-    }
+    severity = Severity.ERROR
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Yield findings for missing, stale, or drifted __all__."""
@@ -103,7 +98,6 @@ class ExplicitExportsRule(Rule):
         node, entries = found
         bound = _bound_names(ctx.tree)
         public = {name for name in bound if public_name(name)}
-        ignored = set(self.option(ctx, "ignored_names"))
         for phantom in sorted(set(entries) - bound):
             yield self.finding(
                 ctx,
@@ -111,7 +105,7 @@ class ExplicitExportsRule(Rule):
                 f"__all__ lists {phantom!r} which is not bound in this "
                 "module (stale export)",
             )
-        for hidden in sorted(public - set(entries) - ignored - {"annotations"}):
+        for hidden in sorted(public - set(entries) - {"annotations"}):
             yield self.finding(
                 ctx,
                 node,

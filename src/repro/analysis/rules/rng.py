@@ -1,7 +1,7 @@
 """DPL001 ``rng-discipline`` — all randomness flows through a Generator.
 
 Calling ``numpy.random.*`` module functions (including ``default_rng``) or
-the stdlib ``random`` module inside privacy-critical packages creates a
+the stdlib ``random`` module anywhere in the library creates a
 side channel of unseeded, unauditable randomness: a mechanism whose noise
 does not come from the caller-injected :class:`numpy.random.Generator`
 cannot be made reproducible for audits, and global-state RNGs can be
@@ -20,46 +20,31 @@ from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import register
 
 
+#: The single sanctioned Generator factory, the one module allowed to
+#: touch ``numpy.random`` directly (relative to the ``repro`` root).
+ALLOWED_MODULES = frozenset({"utils/validation.py"})
+
+
 @register
 class RngDisciplineRule(Rule):
-    """Forbid ``numpy.random.*`` / ``random.*`` calls in scoped packages."""
+    """Forbid ``numpy.random.*`` / ``random.*`` calls outside the factory."""
 
     id = "DPL001"
     name = "rng-discipline"
     description = (
-        "No numpy.random.* or stdlib random.* calls in privacy-critical "
-        "packages; inject a numpy.random.Generator instead."
+        "No numpy.random.* or stdlib random.* calls outside "
+        "repro.utils.validation; inject a numpy.random.Generator instead."
     )
     rationale = (
         "Noise drawn outside the injected Generator is unauditable and may "
         "share global state with unrelated code, silently correlating "
         "draws that DP proofs require to be independent."
     )
-    default_severity = Severity.ERROR
-    default_options = {
-        "packages": (
-            "mechanisms",
-            "distributions",
-            "private_learning",
-            "privacy",
-            "local_privacy",
-            "core",
-            "information",
-            "learning",
-            "testing",
-            "observability",
-            "serving",
-        ),
-        # Files allowed to touch numpy.random directly: the single
-        # sanctioned Generator factory.
-        "allowed_modules": ("utils/validation.py",),
-    }
+    severity = Severity.ERROR
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        """Yield a finding for each numpy.random/random call in scope."""
-        if not self.applies_to(ctx):
-            return
-        if ctx.module_relpath in set(self.option(ctx, "allowed_modules")):
+        """Yield a finding for each numpy.random/random call."""
+        if not ctx.in_library or ctx.module_relpath in ALLOWED_MODULES:
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):

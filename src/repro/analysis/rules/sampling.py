@@ -1,12 +1,16 @@
 """DPL003 ``no-naive-sampling`` — heavy-tailed noise comes from one place.
 
-Hand-rolled Laplace/exponential/Gumbel draws scattered across mechanism
-code are how the classic floating-point attacks (Mironov 2012) slip in:
-``-scale * log(u)`` style transforms on double-precision uniforms produce
-an output set whose gaps distinguish neighbouring datasets. Keeping every
-heavy-tailed sampler inside :mod:`repro.distributions` gives one audited
-choke point; mechanisms must call the noise-law objects there instead of
-``rng.laplace`` / ``rng.exponential`` / ``rng.gumbel`` directly.
+Every Laplace/exponential/Gumbel/Cauchy draw must go through the noise-law
+objects in :mod:`repro.distributions` (``LaplaceNoise``, ``GumbelNoise``,
+``CauchyNoise``, …); mechanisms may not call ``rng.laplace`` /
+``rng.exponential`` / ``rng.gumbel`` directly or hand-roll a
+``log(uniform(...))`` inverse CDF. The sanctioned samplers themselves are
+plain numpy draws today, so the rule does not make sampling safe against
+floating-point attacks (Mironov 2012). What it does is keep every
+heavy-tailed draw in one module, the one place a snapping-safe sampler
+would have to be installed for it to cover every mechanism. No such
+sampler exists yet. No runtime test can see a violation: inlining
+``rng.laplace`` into a mechanism draws the identical bits.
 """
 
 from __future__ import annotations
@@ -17,6 +21,21 @@ from collections.abc import Iterator
 from repro.analysis.base import ModuleContext, Rule, dotted_name
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import register
+
+
+#: RNG method names whose direct use is reserved to the sampler modules.
+METHODS = frozenset(
+    {"laplace", "exponential", "standard_exponential", "gumbel", "standard_cauchy"}
+)
+#: Modules (relative to the ``repro`` root) allowed to draw heavy-tailed
+#: variates directly.
+SANCTIONED_MODULES = frozenset(
+    {
+        "distributions/sampling.py",
+        "distributions/continuous.py",
+        "distributions/discrete.py",
+    }
+)
 
 
 @register
@@ -30,56 +49,24 @@ class NoNaiveSamplingRule(Rule):
         "samplers in repro.distributions, not ad-hoc rng method calls."
     )
     rationale = (
-        "Naive floating-point sampling of heavy-tailed noise leaks bits of "
-        "the true value through the discrete structure of doubles "
-        "(Mironov's snapping attack); a single audited sampler module "
-        "bounds the attack surface."
+        "Keeping every heavy-tailed draw in one module gives a single place "
+        "to install a floating-point-safe sampler (Mironov's snapping "
+        "attack targets naive double-precision Laplace noise); today's "
+        "sanctioned samplers are plain numpy draws, so the rule confines "
+        "the attack surface rather than closing it."
     )
-    default_severity = Severity.ERROR
-    default_options = {
-        "packages": (
-            "mechanisms",
-            "private_learning",
-            "privacy",
-            "local_privacy",
-            "core",
-            "testing",
-            "observability",
-            "serving",
-        ),
-        # RNG method names whose direct use is reserved to the sanctioned
-        # sampler modules.
-        "methods": (
-            "laplace",
-            "exponential",
-            "standard_exponential",
-            "gumbel",
-            "standard_cauchy",
-        ),
-        # Modules (relative to the repro package root) allowed to draw
-        # heavy-tailed variates directly.
-        "sanctioned_modules": (
-            "distributions/sampling.py",
-            "distributions/continuous.py",
-            "distributions/discrete.py",
-        ),
-        # Suspicious log-of-uniform idioms: calls to log on a uniform draw.
-        "flag_log_uniform": True,
-    }
+    severity = Severity.ERROR
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Yield findings for unsanctioned heavy-tailed draws."""
-        if not self.applies_to(ctx):
+        if not ctx.in_library or ctx.module_relpath in SANCTIONED_MODULES:
             return
-        if ctx.module_relpath in set(self.option(ctx, "sanctioned_modules")):
-            return
-        methods = set(self.option(ctx, "methods"))
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             if (
                 isinstance(node.func, ast.Attribute)
-                and node.func.attr in methods
+                and node.func.attr in METHODS
             ):
                 yield self.finding(
                     ctx,
@@ -87,9 +74,7 @@ class NoNaiveSamplingRule(Rule):
                     f"direct .{node.func.attr}() draw outside the sanctioned "
                     "samplers; use the noise laws in repro.distributions",
                 )
-            elif self.option(ctx, "flag_log_uniform") and self._is_log_of_uniform(
-                node, ctx
-            ):
+            elif self._is_log_of_uniform(node, ctx):
                 yield self.finding(
                     ctx,
                     node,

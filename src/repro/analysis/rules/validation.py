@@ -38,6 +38,35 @@ def _names_in(node: ast.AST) -> set[str]:
     }
 
 
+#: Packages whose public API must validate its privacy parameters.
+PACKAGES = frozenset(
+    {
+        "mechanisms",
+        "distributions",
+        "private_learning",
+        "privacy",
+        "local_privacy",
+        "testing",
+        "observability",
+        "serving",
+    }
+)
+PARAM_NAMES = frozenset({"epsilon", "delta", "sensitivity"})
+#: Call targets (matched on the final dotted segment) that count as
+#: validating an argument passed to them.
+VALIDATORS = frozenset(
+    {
+        "check_positive",
+        "check_in_range",
+        "check_array",
+        "check_probability_vector",
+        "check_epsilon_delta",
+        "PrivacySpec",
+        "from_privacy",
+    }
+)
+
+
 @register
 class ValidatePrivacyParamsRule(Rule):
     """Require a sanctioned validation call for each privacy parameter."""
@@ -53,38 +82,12 @@ class ValidatePrivacyParamsRule(Rule):
         "degenerate noise scales: the mechanism may add no noise at all "
         "while its PrivacySpec still advertises a guarantee."
     )
-    default_severity = Severity.ERROR
-    default_options = {
-        "packages": (
-            "mechanisms",
-            "distributions",
-            "private_learning",
-            "privacy",
-            "local_privacy",
-            "testing",
-            "observability",
-            "serving",
-        ),
-        "param_names": ("epsilon", "delta", "sensitivity"),
-        # Call targets (matched on the final dotted segment) that count as
-        # validating an argument passed to them.
-        "validators": (
-            "check_positive",
-            "check_in_range",
-            "check_array",
-            "check_probability_vector",
-            "check_epsilon_delta",
-            "PrivacySpec",
-            "from_privacy",
-        ),
-    }
+    severity = Severity.ERROR
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         """Yield a finding per unvalidated privacy parameter."""
-        if not self.applies_to(ctx):
+        if ctx.package not in PACKAGES:
             return
-        param_names = set(self.option(ctx, "param_names"))
-        validators = set(self.option(ctx, "validators"))
         for func, owner in walk_functions(ctx.tree):
             is_init = func.name == "__init__"
             if not (public_name(func.name) or is_init):
@@ -96,14 +99,14 @@ class ValidatePrivacyParamsRule(Rule):
                 for arg in (
                     func.args.posonlyargs + func.args.args + func.args.kwonlyargs
                 )
-            } & param_names
+            } & PARAM_NAMES
             if not declared:
                 continue
             validated: set[str] = set()
             for node in ast.walk(func):
                 if not isinstance(node, ast.Call):
                     continue
-                if _leaf_name(node) not in validators:
+                if _leaf_name(node) not in VALIDATORS:
                     continue
                 referenced = set()
                 for arg in node.args:
@@ -120,5 +123,5 @@ class ValidatePrivacyParamsRule(Rule):
                     func,
                     f"{where} accepts {missing!r} but never passes it "
                     "through a validator "
-                    f"({', '.join(sorted(validators))})",
+                    f"({', '.join(sorted(VALIDATORS))})",
                 )

@@ -29,7 +29,6 @@ SARIF_SCHEMA_URI = (
 _LEVELS = {
     Severity.ERROR: "error",
     Severity.WARNING: "warning",
-    Severity.INFO: "note",
 }
 
 #: Findings the engine emits outside the rule registry.

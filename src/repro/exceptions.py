@@ -21,15 +21,6 @@ class NotNormalizedError(ValidationError):
     """A probability vector does not sum to one within tolerance."""
 
 
-class ConfigurationError(ValidationError):
-    """A tool configuration is malformed (e.g. an unknown dplint rule id).
-
-    Raised eagerly — a typo'd rule id in ``pyproject.toml`` or in an
-    ``AnalysisConfig`` must fail the run loudly instead of silently
-    configuring nothing and letting a CI gate pass vacuously.
-    """
-
-
 class PrivacyBudgetError(ReproError):
     """A privacy accountant was asked to exceed its remaining budget."""
 

@@ -6,7 +6,7 @@ here through ``main()`` and through a real ``python -m repro`` subprocess
 
 * 0 — clean: no findings / every audited claim holds;
 * 1 — findings: lint violations or a certified ε violation;
-* 2 — usage error: unknown rule, unknown family, bad arguments.
+* 2 — usage error: unknown flag or family, missing path, bad arguments.
 """
 
 from __future__ import annotations
@@ -62,13 +62,6 @@ class TestLintExitCodes:
     def test_findings_exit_one(self, tmp_path):
         assert main(["lint", str(_violating_file(tmp_path))]) == 1
 
-    def test_unknown_rule_exits_two(self, capsys, tmp_path):
-        code = main(
-            ["lint", "--select", "DPL999", str(_violating_file(tmp_path))]
-        )
-        assert code == 2
-        assert "unknown rule" in capsys.readouterr().err
-
     def test_missing_path_exits_two(self, capsys, tmp_path):
         assert main(["lint", str(tmp_path / "nope.py")]) == 2
 
@@ -89,6 +82,22 @@ class TestLintExitCodes:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", ["--select", "--ignore", "--config", "--no-config", "--jobs"]
+    )
+    @pytest.mark.parametrize(
+        "run, prefix",
+        [(main, ["lint"]), (lint_run, [])],
+        ids=["repro-lint", "repro.analysis"],
+    )
+    def test_configuration_flags_are_gone(self, run, prefix, flag, capsys):
+        # dplint runs one fixed rule set: a stale CI invocation must fail
+        # as a usage error, not lint with some rules silently dropped.
+        with pytest.raises(SystemExit) as excinfo:
+            run([*prefix, flag, "x.py"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_one_parser_behind_both_entry_points(self, capsys):
         def flags(run, argv):
             with pytest.raises(SystemExit) as excinfo:
@@ -99,7 +108,7 @@ class TestLintExitCodes:
 
         repro_flags = flags(main, ["lint", "--help"])
         assert repro_flags == flags(lint_run, ["--help"])
-        assert "--jobs" in repro_flags and "--baseline" not in repro_flags
+        assert repro_flags == ["--format", "--help", "--list-rules"]
 
 
 class TestAuditExitCodes:

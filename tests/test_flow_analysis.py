@@ -1,10 +1,9 @@
 """Tests for dpflow: the whole-program dataflow layer of dplint.
 
-Covers the project model / symbol resolution / call graph, the taint
-engine, each flow rule (DPL007–DPL012) on true-positive and true-negative
-fixtures, SARIF rendering, the parallel
-analyzer's byte-identity guarantee, configuration validation (programmatic
-and pyproject), file collection, and pragma edge cases.
+Covers the project model and symbol resolution, the taint engine, each
+flow rule (DPL007, DPL010–DPL012) on true-positive and true-negative
+fixtures, SARIF rendering, the parallel analyzer's byte-identity
+guarantee, file collection, pragma edge cases, and the CLI.
 """
 
 import json
@@ -13,33 +12,33 @@ import textwrap
 import pytest
 
 from repro.analysis import (
-    AnalysisConfig,
     Analyzer,
-    analyze_source,
-    analyze_sources_parallel,
-    config_from_mapping,
+    analyze_paths_parallel,
     format_sarif,
     format_text,
-    load_pyproject_config,
+    get_rule,
     sarif_payload,
 )
 from repro.analysis.__main__ import run as cli_run
-from repro.analysis.config import HAVE_TOML
 from repro.analysis.flow import (
     FunctionTaintAnalysis,
     ProjectModel,
-    TaintOptions,
     iter_function_defs,
     module_name_for,
 )
 from repro.analysis.pragmas import PRAGMA_RULE_ID
-from repro.exceptions import ConfigurationError, ValidationError
+from repro.exceptions import ValidationError
 
 
-def run_rule(source: str, path: str, rule_id: str, config=None):
+def analyze_with(source: str, path: str, *rule_ids: str):
+    """Report of only ``rule_ids`` on dedented ``source`` at ``path``."""
+    analyzer = Analyzer(rules=[get_rule(rule_id) for rule_id in rule_ids])
+    return analyzer.analyze_source(textwrap.dedent(source), path)
+
+
+def run_rule(source: str, path: str, rule_id: str):
     """Findings of one flow rule on dedented ``source`` at virtual ``path``."""
-    config = config or AnalysisConfig(select=frozenset({rule_id}))
-    report = analyze_source(textwrap.dedent(source), path, config=config)
+    report = analyze_with(source, path, rule_id)
     return [f for f in report.findings if f.rule_id == rule_id]
 
 
@@ -51,7 +50,7 @@ def project_of(*pairs):
 
 
 # ---------------------------------------------------------------------------
-# Project model, symbols, call graph
+# Project model and symbols
 # ---------------------------------------------------------------------------
 
 
@@ -62,19 +61,19 @@ class TestProjectModel:
         assert module_name_for(("cli.py",)) == "repro.cli"
 
     def test_from_sources_records_syntax_errors(self):
-        project = project_of(("def broken(:\n", "core/bad.py"))
+        project = project_of(("def broken(:\n", "repro/core/bad.py"))
         info = project.modules[0]
         assert info.tree is None
         assert isinstance(info.error, SyntaxError)
 
     def test_module_lookup(self):
-        project = project_of(("x = 1\n", "core/mod.py"))
+        project = project_of(("x = 1\n", "repro/core/mod.py"))
         assert project.module("repro.core.mod") is not None
         assert project.module("repro.core.other") is None
 
     def test_name_collisions_first_wins(self):
         project = project_of(
-            ("x = 1\n", "core/mod.py"), ("y = 2\n", "core/mod.py")
+            ("x = 1\n", "repro/core/mod.py"), ("y = 2\n", "repro/core/mod.py")
         )
         info = project.module("repro.core.mod")
         assert info is not None and "x = 1" in info.source
@@ -82,14 +81,14 @@ class TestProjectModel:
 
 class TestSymbols:
     def test_canonicalize_local_symbol(self):
-        project = project_of(("def fit(dataset):\n    return 0\n", "core/bayes.py"))
+        project = project_of(("def fit(dataset):\n    return 0\n", "repro/core/bayes.py"))
         assert (
             project.symbols.canonicalize("repro.core.bayes", "fit")
             == "repro.core.bayes.fit"
         )
 
     def test_canonicalize_import_alias(self):
-        project = project_of(("import numpy as np\n", "core/mod.py"))
+        project = project_of(("import numpy as np\n", "repro/core/mod.py"))
         assert (
             project.symbols.canonicalize("repro.core.mod", "np.array")
             == "numpy.array"
@@ -97,7 +96,7 @@ class TestSymbols:
 
     def test_resolve_module_member_access(self):
         project = project_of(
-            ("def fit(dataset):\n    return 0\n", "core/bayes.py"),
+            ("def fit(dataset):\n    return 0\n", "repro/core/bayes.py"),
             (
                 """
                 from repro.core import bayes
@@ -105,70 +104,12 @@ class TestSymbols:
                 def go(dataset):
                     return bayes.fit(dataset)
                 """,
-                "experiments/go.py",
+                "repro/experiments/go.py",
             ),
         )
-        symbol = project.symbols.resolve("repro.experiments.go", "bayes.fit")
-        assert symbol is not None
-        assert symbol.qualname == "repro.core.bayes.fit"
-        assert symbol.kind == "function"
-
-
-class TestCallGraph:
-    def test_cross_module_edge(self):
-        project = project_of(
-            ("def fit(dataset):\n    return 0\n", "core/bayes.py"),
-            (
-                """
-                from repro.core import bayes
-
-                def go(dataset):
-                    return bayes.fit(dataset)
-                """,
-                "experiments/go.py",
-            ),
-        )
-        graph = project.callgraph
-        assert "repro.core.bayes.fit" in graph.callees("repro.experiments.go.go")
-        assert "repro.experiments.go.go" in graph.callers("repro.core.bayes.fit")
-
-    def test_self_method_edge_and_neighborhood(self):
-        project = project_of(
-            (
-                """
-                class Auditor:
-                    def drive(self, dataset):
-                        return self.step(dataset)
-
-                    def step(self, dataset):
-                        return dataset
-                """,
-                "privacy/audit.py",
-            )
-        )
-        graph = project.callgraph
-        drive = "repro.privacy.audit.Auditor.drive"
-        step = "repro.privacy.audit.Auditor.step"
-        assert step in graph.callees(drive)
-        assert graph.neighborhood(step) == frozenset({step, drive})
-
-    def test_class_call_resolves_to_class(self):
-        project = project_of(
-            (
-                """
-                class Acc:
-                    def __init__(self):
-                        self.total = 0.0
-
-                def make():
-                    return Acc()
-                """,
-                "mechanisms/acc.py",
-            )
-        )
-        graph = project.callgraph
-        assert "repro.mechanisms.acc.Acc" in graph.callees(
-            "repro.mechanisms.acc.make"
+        assert (
+            project.symbols.canonicalize("repro.experiments.go", "bayes.fit")
+            == "repro.core.bayes.fit"
         )
 
 
@@ -182,7 +123,7 @@ def _analysis_for(source: str):
 
     tree = ast.parse(textwrap.dedent(source))
     _, func = next(iter_function_defs(tree))
-    return FunctionTaintAnalysis(tree.body[0], TaintOptions(), lambda name: name)
+    return FunctionTaintAnalysis(tree.body[0], lambda name: name)
 
 
 class TestTaintEngine:
@@ -227,7 +168,7 @@ class TestTaintEngine:
 
 
 # ---------------------------------------------------------------------------
-# Flow rules DPL007–DPL012
+# Flow rules DPL007, DPL010–DPL012
 # ---------------------------------------------------------------------------
 
 
@@ -241,7 +182,7 @@ class TestRawDataEgress:
                 total = sum(dataset)
                 print(total)
             """,
-            "experiments/snippet.py",
+            "repro/experiments/snippet.py",
             "DPL007",
         )
         assert len(findings) == 1
@@ -253,7 +194,7 @@ class TestRawDataEgress:
             def track(dataset, ledger):
                 ledger.record(dataset)
             """,
-            "experiments/snippet.py",
+            "repro/experiments/snippet.py",
             "DPL007",
         )
         assert len(findings) == 1
@@ -268,7 +209,7 @@ class TestRawDataEgress:
                 logging.info("records: %s", dataset)
                 path.write_text(str(dataset))
             """,
-            "privacy/snippet.py",
+            "repro/privacy/snippet.py",
             "DPL007",
         )
         assert len(findings) == 2
@@ -280,142 +221,43 @@ class TestRawDataEgress:
                 value = mech.release(dataset)
                 print(value)
             """,
-            "experiments/snippet.py",
+            "repro/experiments/snippet.py",
             "DPL007",
         )
         assert findings == []
 
     def test_out_of_scope_package_is_ignored(self):
+        # A script outside the repro package prints what it measures.
         findings = run_rule(
             """
             def summarize(dataset):
                 print(sum(dataset))
             """,
-            "mechanisms/snippet.py",
+            "examples/snippet.py",
             "DPL007",
         )
         assert findings == []
+
+    def test_mechanisms_package_in_scope(self):
+        findings = run_rule(
+            """
+            class Mech:
+                def release(self, dataset):
+                    true_value = sum(dataset)
+                    print(true_value)
+            """,
+            "repro/mechanisms/snippet.py",
+            "DPL007",
+        )
+        assert len(findings) == 1
 
     def test_return_sink_only_in_serving(self):
         source = """
         def endpoint(dataset):
             return dataset
         """
-        assert len(run_rule(source, "serving/api.py", "DPL007")) == 1
-        assert run_rule(source, "experiments/run.py", "DPL007") == []
-
-
-class TestUnaccountedRelease:
-    """DPL008: release with an accountant in scope must be charged."""
-
-    def test_flags_uncharged_release(self):
-        findings = run_rule(
-            """
-            def spend(dataset, mech, accountant):
-                return mech.release(dataset)
-            """,
-            "experiments/snippet.py",
-            "DPL008",
-        )
-        assert len(findings) == 1
-
-    def test_local_charge_clears(self):
-        findings = run_rule(
-            """
-            def spend(dataset, mech, accountant):
-                accountant.charge(mech.spec)
-                return mech.release(dataset)
-            """,
-            "experiments/snippet.py",
-            "DPL008",
-        )
-        assert findings == []
-
-    def test_charge_in_direct_caller_clears(self):
-        findings = run_rule(
-            """
-            def helper(dataset, mech, accountant):
-                return mech.release(dataset)
-
-            def caller(dataset, mech, accountant):
-                accountant.charge(mech.spec)
-                return helper(dataset, mech, accountant)
-            """,
-            "experiments/snippet.py",
-            "DPL008",
-        )
-        assert findings == []
-
-    def test_constructed_accountant_counts(self):
-        findings = run_rule(
-            """
-            from repro.mechanisms.accountant import PrivacyAccountant
-
-            def spend(dataset, mech):
-                ledger = PrivacyAccountant(budget=1.0)
-                return mech.release(dataset)
-            """,
-            "experiments/snippet.py",
-            "DPL008",
-        )
-        assert len(findings) == 1
-
-    def test_no_accountant_no_finding(self):
-        findings = run_rule(
-            """
-            def spend(dataset, mech):
-                return mech.release(dataset)
-            """,
-            "experiments/snippet.py",
-            "DPL008",
-        )
-        assert findings == []
-
-
-class TestEpsilonDrift:
-    """DPL009: constructed epsilon must match the charged epsilon."""
-
-    def test_flags_drift(self):
-        findings = run_rule(
-            """
-            def go(dataset, accountant):
-                mech = LaplaceMechanism(epsilon=1.0)
-                accountant.charge(PrivacySpec(epsilon=0.5))
-                return mech
-            """,
-            "experiments/snippet.py",
-            "DPL009",
-        )
-        assert len(findings) == 1
-        assert "[1.0]" in findings[0].message
-        assert "[0.5]" in findings[0].message
-
-    def test_matching_epsilons_clean(self):
-        findings = run_rule(
-            """
-            def go(dataset, accountant):
-                mech = LaplaceMechanism(epsilon=1.0)
-                accountant.charge(PrivacySpec(epsilon=1.0))
-                return mech
-            """,
-            "experiments/snippet.py",
-            "DPL009",
-        )
-        assert findings == []
-
-    def test_shared_constant_is_clean(self):
-        findings = run_rule(
-            """
-            def go(dataset, accountant):
-                eps = 0.25
-                mech = LaplaceMechanism(epsilon=eps)
-                accountant.charge(PrivacySpec(epsilon=eps))
-                return mech
-            """,
-            "experiments/snippet.py",
-            "DPL009",
-        )
-        assert findings == []
+        assert len(run_rule(source, "repro/serving/api.py", "DPL007")) == 1
+        assert run_rule(source, "repro/experiments/run.py", "DPL007") == []
 
 
 class TestScalarReleaseInLoop:
@@ -430,7 +272,7 @@ class TestScalarReleaseInLoop:
                     out.append(mech.release(dataset))
                 return out
             """,
-            "experiments/snippet.py",
+            "repro/experiments/snippet.py",
             "DPL010",
         )
         assert len(findings) == 1
@@ -441,7 +283,7 @@ class TestScalarReleaseInLoop:
             def draw(dataset, mech, n):
                 return [mech.release(dataset) for _ in range(n)]
             """,
-            "experiments/snippet.py",
+            "repro/experiments/snippet.py",
             "DPL010",
         )
         assert len(findings) == 1
@@ -452,7 +294,7 @@ class TestScalarReleaseInLoop:
             def draw(datasets, mech):
                 return [mech.release(d) for d in datasets]
             """,
-            "experiments/snippet.py",
+            "repro/experiments/snippet.py",
             "DPL010",
         )
         assert findings == []
@@ -463,7 +305,7 @@ class TestScalarReleaseInLoop:
             def draw(dataset, mech):
                 return mech.release(dataset)
             """,
-            "experiments/snippet.py",
+            "repro/experiments/snippet.py",
             "DPL010",
         )
         assert findings == []
@@ -480,7 +322,7 @@ class TestScalarReleaseInLoop:
                     rows.append([x + 1 for x in mech.release(dataset)])
                 return rows
             """,
-            "experiments/snippet.py",
+            "repro/experiments/snippet.py",
             "DPL010",
         )
         assert len(findings) == 1
@@ -493,7 +335,7 @@ class TestScalarReleaseInLoop:
                     value = mech.release(dataset)
                 return value
             """,
-            "experiments/snippet.py",
+            "repro/experiments/snippet.py",
             "DPL010",
         )
         assert findings == []
@@ -509,7 +351,7 @@ class TestTaintThroughException:
                 if not dataset:
                     raise ValueError(f"bad dataset: {dataset!r}")
             """,
-            "mechanisms/snippet.py",
+            "repro/mechanisms/snippet.py",
             "DPL011",
         )
         assert len(findings) == 1
@@ -521,7 +363,7 @@ class TestTaintThroughException:
                 if not dataset:
                     raise ValueError("dataset must be nonempty")
             """,
-            "mechanisms/snippet.py",
+            "repro/mechanisms/snippet.py",
             "DPL011",
         )
         assert findings == []
@@ -533,7 +375,7 @@ class TestTaintThroughException:
                 if dataset.ndim != 1:
                     raise ValueError(f"expected 1-d data, got shape {dataset.shape}")
             """,
-            "mechanisms/snippet.py",
+            "repro/mechanisms/snippet.py",
             "DPL011",
         )
         assert findings == []
@@ -548,7 +390,7 @@ class TestDeadSanitizer:
             def waste(dataset, mech):
                 mech.release(dataset)
             """,
-            "experiments/snippet.py",
+            "repro/experiments/snippet.py",
             "DPL012",
         )
         assert len(findings) == 1
@@ -560,7 +402,7 @@ class TestDeadSanitizer:
                 value = mech.release(dataset)
                 return None
             """,
-            "experiments/snippet.py",
+            "repro/experiments/snippet.py",
             "DPL012",
         )
         assert len(findings) == 1
@@ -572,7 +414,7 @@ class TestDeadSanitizer:
                 value = mech.release(dataset)
                 return value
             """,
-            "experiments/snippet.py",
+            "repro/experiments/snippet.py",
             "DPL012",
         )
         assert findings == []
@@ -588,11 +430,8 @@ def draw(dataset, mech, n):
 """
 
 
-def _loopy_report(config=None):
-    config = config or AnalysisConfig(select=frozenset({"DPL010"}))
-    return analyze_source(
-        textwrap.dedent(LOOPY), "experiments/snippet.py", config=config
-    )
+def _loopy_report():
+    return analyze_with(LOOPY, "repro/experiments/snippet.py", "DPL010")
 
 
 class TestSarif:
@@ -628,11 +467,7 @@ class TestSarif:
             "for _ in range(n)]",
             "for _ in range(n)]  # dplint: disable=DPL010 -- fixture",
         )
-        report = analyze_source(
-            source,
-            "experiments/snippet.py",
-            config=AnalysisConfig(select=frozenset({"DPL010"})),
-        )
+        report = analyze_with(source, "repro/experiments/snippet.py", "DPL010")
         assert report.suppressed_count == 1
         payload = json.loads(format_sarif(report))
         assert payload["runs"][0]["results"] == []
@@ -643,95 +478,40 @@ class TestSarif:
 # ---------------------------------------------------------------------------
 
 PARALLEL_SOURCES = [
-    (textwrap.dedent(LOOPY), "experiments/one.py"),
+    (textwrap.dedent(LOOPY), "repro/experiments/one.py"),
     (
         "def validate(dataset):\n"
         '    raise ValueError(f"bad: {dataset!r}")\n',
-        "mechanisms/two.py",
+        "repro/mechanisms/two.py",
     ),
-    ("def clean():\n    return 0\n", "core/three.py"),
+    ("def clean():\n    return 0\n", "repro/core/three.py"),
 ]
 
 
+def _write_sources(root):
+    for source, path in PARALLEL_SOURCES:
+        target = root / path
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source)
+    return str(root)
+
+
 class TestParallel:
-    def test_parallel_matches_serial_byte_identically(self):
-        config = AnalysisConfig(select=frozenset({"DPL010", "DPL011"}))
-        serial = Analyzer(config=config).analyze_sources(PARALLEL_SOURCES)
-        parallel = analyze_sources_parallel(PARALLEL_SOURCES, config, jobs=2)
+    def test_parallel_matches_serial_byte_identically(self, tmp_path):
+        root = _write_sources(tmp_path)
+        serial = Analyzer().analyze_paths([root])
+        parallel = analyze_paths_parallel([root], jobs=2)
+        assert serial.findings
         assert parallel.findings == serial.findings
         assert parallel.files_checked == serial.files_checked
         assert format_text(parallel) == format_text(serial)
         assert format_sarif(parallel) == format_sarif(serial)
 
-    def test_jobs_one_falls_back_to_serial(self):
-        config = AnalysisConfig(select=frozenset({"DPL010"}))
-        serial = Analyzer(config=config).analyze_sources(PARALLEL_SOURCES)
-        fallback = analyze_sources_parallel(PARALLEL_SOURCES, config, jobs=1)
+    def test_jobs_one_falls_back_to_serial(self, tmp_path):
+        root = _write_sources(tmp_path)
+        serial = Analyzer().analyze_paths([root])
+        fallback = analyze_paths_parallel([root], jobs=1)
         assert fallback.findings == serial.findings
-
-    def test_invalid_config_raises_in_parent(self):
-        config = AnalysisConfig(select=frozenset({"DPL0xx"}))
-        with pytest.raises(ConfigurationError):
-            analyze_sources_parallel(PARALLEL_SOURCES, config, jobs=2)
-
-
-# ---------------------------------------------------------------------------
-# Configuration validation (satellite: unknown rule ids fail loudly)
-# ---------------------------------------------------------------------------
-
-
-class TestConfigValidation:
-    def test_unknown_select_key_names_nearest_rule(self):
-        with pytest.raises(ConfigurationError, match="DPL007"):
-            Analyzer(config=AnalysisConfig(select=frozenset({"DPL07"})))
-
-    def test_unknown_rules_table_key(self):
-        with pytest.raises(ConfigurationError, match="DPL099"):
-            config_from_mapping({"rules": {"DPL099": {}}})
-
-    def test_unknown_name_suggests_close_match(self):
-        with pytest.raises(ConfigurationError, match="raw-data-egress"):
-            config_from_mapping({"select": ["raw-data-egres"]})
-
-    def test_stray_top_level_key(self):
-        with pytest.raises(ConfigurationError, match="select"):
-            config_from_mapping({"selct": ["DPL001"]})
-
-    def test_bad_severity_name(self):
-        with pytest.raises(ConfigurationError, match="severity"):
-            config_from_mapping({"rules": {"DPL001": {"severity": "fatal"}}})
-
-    @pytest.mark.skipif(not HAVE_TOML, reason="tomllib unavailable")
-    def test_pyproject_unknown_rule_id(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text('[tool.dplint]\nselect = ["DPL042"]\n')
-        with pytest.raises(ConfigurationError, match="DPL042"):
-            load_pyproject_config(pyproject)
-
-    @pytest.mark.skipif(not HAVE_TOML, reason="tomllib unavailable")
-    def test_pyproject_without_section_is_none(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text('[tool.other]\nx = 1\n')
-        assert load_pyproject_config(pyproject) is None
-
-    @pytest.mark.skipif(not HAVE_TOML, reason="tomllib unavailable")
-    def test_pyproject_options_round_trip(self, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(
-            "[tool.dplint]\n"
-            'ignore = ["DPL006"]\n'
-            "[tool.dplint.rules.DPL010]\n"
-            'severity = "error"\n'
-            "[tool.dplint.rules.DPL010.options]\n"
-            'release_methods = ["release", "draw"]\n'
-        )
-        config = load_pyproject_config(pyproject)
-        assert config is not None
-        assert "DPL006" in config.ignore
-        assert config.rule_option("DPL010", "release_methods", ()) == (
-            "release",
-            "draw",
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -786,9 +566,8 @@ class TestPragmaEdgeCases:
             for _ in range(n):
                 mech.release(dataset)  # dplint: disable=DPL010,DPL012 -- measured discard
         """
-        config = AnalysisConfig(select=frozenset({"DPL010", "DPL012"}))
-        report = analyze_source(
-            textwrap.dedent(source), "experiments/snippet.py", config=config
+        report = analyze_with(
+            source, "repro/experiments/snippet.py", "DPL010", "DPL012"
         )
         assert report.findings == []
         assert report.suppressed_count == 2
@@ -803,10 +582,7 @@ class TestPragmaEdgeCases:
                 for _ in range(n)
             ]
         """
-        config = AnalysisConfig(select=frozenset({"DPL010"}))
-        report = analyze_source(
-            textwrap.dedent(source), "experiments/snippet.py", config=config
-        )
+        report = analyze_with(source, "repro/experiments/snippet.py", "DPL010")
         assert report.findings == []
         assert report.suppressed_count == 1
 
@@ -815,11 +591,7 @@ class TestPragmaEdgeCases:
         def draw(dataset, mech, n):
             return [mech.release(dataset) for _ in range(n)]  # dplint: disable=DPL010
         """
-        report = analyze_source(
-            textwrap.dedent(source),
-            "experiments/snippet.py",
-            config=AnalysisConfig(select=frozenset({"DPL010"})),
-        )
+        report = analyze_with(source, "repro/experiments/snippet.py", "DPL010")
         pragma = [f for f in report.findings if f.rule_id == PRAGMA_RULE_ID]
         assert len(pragma) == 1
         assert "justification" in pragma[0].message
@@ -829,11 +601,7 @@ class TestPragmaEdgeCases:
         def draw(dataset, mech, n):
             return [mech.release(dataset) for _ in range(n)]  # dplint: disable=DPL0010 -- typo
         """
-        report = analyze_source(
-            textwrap.dedent(source),
-            "experiments/snippet.py",
-            config=AnalysisConfig(select=frozenset({"DPL010"})),
-        )
+        report = analyze_with(source, "repro/experiments/snippet.py", "DPL010")
         pragma = [f for f in report.findings if f.rule_id == PRAGMA_RULE_ID]
         assert len(pragma) == 1
         assert "did you mean 'DPL010'" in pragma[0].message
@@ -844,11 +612,7 @@ class TestPragmaEdgeCases:
             total = sum(dataset)
             print(total)  # dplint: disable=DPL007 -- debugging harness only
         """
-        report = analyze_source(
-            textwrap.dedent(source),
-            "experiments/snippet.py",
-            config=AnalysisConfig(select=frozenset({"DPL007"})),
-        )
+        report = analyze_with(source, "repro/experiments/snippet.py", "DPL007")
         assert report.findings == []
         assert report.suppressed_count == 1
 
@@ -865,24 +629,18 @@ class TestCli:
         return str(target)
 
     def test_exit_one_on_findings(self, tmp_path, capsys):
-        assert cli_run([self._violation_file(tmp_path), "--no-config"]) == 1
+        assert cli_run([self._violation_file(tmp_path)]) == 1
         assert "DPL010" in capsys.readouterr().out
 
-    def test_unknown_select_exits_two(self, tmp_path, capsys):
-        code = cli_run(
-            [self._violation_file(tmp_path), "--no-config", "--select", "DPLxyz"]
-        )
-        assert code == 2
-        assert "unknown rule" in capsys.readouterr().err
-
     def test_sarif_output_parses(self, tmp_path, capsys):
-        cli_run([self._violation_file(tmp_path), "--no-config", "--format", "sarif"])
+        cli_run([self._violation_file(tmp_path), "--format", "sarif"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == "2.1.0"
 
     def test_parallel_cli_matches_serial(self, tmp_path, capsys):
-        target = self._violation_file(tmp_path)
-        cli_run([target, "--no-config"])
-        serial_out = capsys.readouterr().out
-        cli_run([target, "--no-config", "--jobs", "4"])
-        assert capsys.readouterr().out == serial_out
+        # The CLI runs one worker per CPU; its output must not depend on it.
+        root = _write_sources(tmp_path)
+        cli_run([root])
+        assert capsys.readouterr().out == format_text(
+            Analyzer().analyze_paths([root])
+        ) + "\n"

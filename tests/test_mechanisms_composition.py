@@ -68,6 +68,13 @@ class TestAdvancedComposition:
         assert few.epsilon == pytest.approx(0.2)
         assert many.epsilon < 100.0
 
+    @pytest.mark.parametrize("delta", [2.0, -0.1, float("nan")])
+    def test_rejects_invalid_delta(self, delta):
+        # δ = 2 is the case no later check catches: min(kδ + δ', 1) clamps
+        # it into a valid-looking PrivacySpec.
+        with pytest.raises(ValidationError):
+            advanced_composition(1.0, delta, 3, 1e-5)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValidationError):
             advanced_composition(0.1, 0.0, 0, 1e-6)

@@ -121,16 +121,14 @@ class ModuleContext:
         (``"mechanisms/snippet.py"``) resolve the same way.
     project:
         Whole-program :class:`~repro.analysis.flow.project.ProjectModel`
-        covering every module in the analyzed set. ``None`` only when a
-        rule is driven outside the engine; flow rules fall back to a
-        single-module project in that case.
+        covering every module in the analyzed set.
     """
 
     path: str
     tree: ast.Module
     source_lines: list[str]
     package_parts: tuple[str, ...]
-    project: "ProjectModel | None" = None
+    project: "ProjectModel"
     _imports: ImportTracker | None = field(default=None, repr=False)
 
     @property

@@ -8,13 +8,8 @@ sinks, and :mod:`~repro.analysis.flow.rules` turns those traces into the
 DPL007 and DPL010–DPL012 findings.
 """
 
-from repro.analysis.flow.project import (
-    ModuleInfo,
-    ProjectModel,
-    module_name_for,
-    single_module_project,
-)
-from repro.analysis.flow.symbols import ModuleSymbols, ProjectSymbols, Symbol
+from repro.analysis.flow.project import ModuleInfo, ProjectModel, module_name_for
+from repro.analysis.flow.symbols import ProjectSymbols
 from repro.analysis.flow.taint import (
     FunctionTaintAnalysis,
     SinkEvent,
@@ -26,14 +21,11 @@ from repro.analysis.flow.taint import (
 __all__ = [
     "FunctionTaintAnalysis",
     "ModuleInfo",
-    "ModuleSymbols",
     "ProjectModel",
     "ProjectSymbols",
     "SinkEvent",
-    "Symbol",
     "TaintLabel",
     "dead_sanitizer_assignments",
     "iter_function_defs",
     "module_name_for",
-    "single_module_project",
 ]

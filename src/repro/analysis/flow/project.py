@@ -2,8 +2,9 @@
 
 :class:`ProjectModel` parses every module of the analyzed set exactly once
 and exposes the shared artifacts the flow rules build on: the module table
-(dotted name → parsed AST) and the module-level symbol tables. Serial and parallel analyzers both construct one
-project per process, so a file is never re-parsed per rule.
+(dotted name → parsed AST) and the project-wide name resolver. Serial and
+parallel analyzers both construct one project per process, so a file is
+never re-parsed per rule.
 """
 
 from __future__ import annotations
@@ -147,27 +148,3 @@ class ProjectModel:
     def __repr__(self) -> str:
         return f"ProjectModel({len(self.modules)} modules)"
 
-
-def single_module_project(
-    tree: ast.Module, path: str, source_lines: Sequence[str]
-) -> ProjectModel:
-    """A one-module project for rules driven outside the engine.
-
-    Parameters
-    ----------
-    tree:
-        The already-parsed module.
-    path:
-        Path string used for module naming and findings.
-    source_lines:
-        The module's source lines (re-joined for the project record).
-    """
-    parts = package_parts(path)
-    info = ModuleInfo(
-        path=path,
-        name=module_name_for(parts),
-        package_parts=parts,
-        source="\n".join(source_lines),
-        tree=tree,
-    )
-    return ProjectModel([info])

@@ -15,11 +15,7 @@ from collections.abc import Callable, Iterator
 
 from repro.analysis.base import ModuleContext, Rule
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.flow.project import (
-    ProjectModel,
-    module_name_for,
-    single_module_project,
-)
+from repro.analysis.flow.project import module_name_for
 from repro.analysis.flow.taint import (
     FunctionTaintAnalysis,
     dead_sanitizer_assignments,
@@ -35,19 +31,7 @@ RETURN_SINK_PACKAGES = frozenset({"serving"})
 
 
 class FlowRule(Rule):
-    """Base class for whole-program rules: project-aware name resolution."""
-
-    def project_for(self, ctx: ModuleContext) -> ProjectModel:
-        """The whole-program model, or a one-module fallback.
-
-        Parameters
-        ----------
-        ctx:
-            The module under analysis.
-        """
-        if ctx.project is not None:
-            return ctx.project
-        return single_module_project(ctx.tree, ctx.path, ctx.source_lines)
+    """Base class for rules that resolve names across the whole project."""
 
     def canonicalizer(self, ctx: ModuleContext) -> Callable[[str], str]:
         """Name-canonicalization function for the module under analysis.
@@ -57,10 +41,9 @@ class FlowRule(Rule):
         ctx:
             The module under analysis.
         """
-        project = self.project_for(ctx)
         module_name = module_name_for(ctx.package_parts)
-        if project.module(module_name) is not None:
-            symbols = project.symbols
+        if ctx.project.module(module_name) is not None:
+            symbols = ctx.project.symbols
             return lambda name: symbols.canonicalize(module_name, name)
         return ctx.imports.resolve
 
@@ -106,7 +89,7 @@ class RawDataEgressRule(FlowRule):
 
 
 @register
-class ScalarReleaseInLoopRule(FlowRule):
+class ScalarReleaseInLoopRule(Rule):
     """DPL010: loop-invariant scalar releases should be release_many."""
 
     id = "DPL010"
@@ -249,7 +232,7 @@ class TaintThroughExceptionRule(FlowRule):
 
 
 @register
-class DeadSanitizerRule(FlowRule):
+class DeadSanitizerRule(Rule):
     """DPL012: a DP release whose result is discarded wastes budget."""
 
     id = "DPL012"

@@ -1,86 +1,47 @@
-"""Project-wide symbol tables and import-aware name resolution.
+"""Project-wide import-aware name resolution.
 
 :class:`ProjectSymbols` answers "what does the dotted name ``X.y`` written
 in module ``M`` actually refer to?" by combining each module's import
-aliases with the definition tables of every analyzed module. Resolution is
-best-effort and purely syntactic — precise enough for the flow rules, which
-only need to recognize calls into known constructors and sanitizers.
+aliases with the names every analyzed module defines at top level.
+Resolution is best-effort and purely syntactic — precise enough for the
+flow rules, which only need to recognize calls into known constructors
+and sanitizers.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.analysis.flow.project import ModuleInfo, ProjectModel
+    from repro.analysis.flow.project import ProjectModel
 
-__all__ = ["Symbol", "ModuleSymbols", "ProjectSymbols"]
+__all__ = ["ProjectSymbols"]
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """One top-level definition in an analyzed module.
+def _top_level_names(tree: ast.Module | None) -> frozenset[str]:
+    """Names a module binds at top level by ``def``, ``class`` or assignment.
 
     Parameters
     ----------
-    qualname:
-        Fully-qualified dotted name, e.g. ``"repro.privacy.audit.Auditor"``.
-    module:
-        Dotted name of the defining module.
-    name:
-        Local name inside the module (class/function/variable name, or
-        ``"Class.method"`` for methods).
-    kind:
-        ``"class"``, ``"function"``, ``"method"``, or ``"assignment"``.
-    node:
-        The defining AST node.
+    tree:
+        The parsed module, or ``None`` for a file that does not parse.
     """
-
-    qualname: str
-    module: str
-    name: str
-    kind: str
-    node: ast.AST
-
-
-class ModuleSymbols:
-    """Top-level definitions of a single module, keyed by local name."""
-
-    def __init__(self, info: "ModuleInfo") -> None:
-        self.module_name = info.name
-        self.by_name: dict[str, Symbol] = {}
-        if info.tree is None:
-            return
-        for node in info.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._add(node.name, "function", node)
-            elif isinstance(node, ast.ClassDef):
-                self._add(node.name, "class", node)
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        self._add(f"{node.name}.{item.name}", "method", item)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        self._add(target.id, "assignment", node)
-            elif isinstance(node, ast.AnnAssign):
-                if isinstance(node.target, ast.Name):
-                    self._add(node.target.id, "assignment", node)
-
-    def _add(self, name: str, kind: str, node: ast.AST) -> None:
-        self.by_name[name] = Symbol(
-            qualname=f"{self.module_name}.{name}",
-            module=self.module_name,
-            name=name,
-            kind=kind,
-            node=node,
-        )
+    names: set[str] = set()
+    for node in tree.body if tree is not None else ():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(
+                target.id for target in node.targets if isinstance(target, ast.Name)
+            )
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return frozenset(names)
 
 
 class ProjectSymbols:
-    """Import-aware resolver over every module's symbol table.
+    """Import-aware resolver over every module's top-level names.
 
     Parameters
     ----------
@@ -90,8 +51,8 @@ class ProjectSymbols:
 
     def __init__(self, project: "ProjectModel") -> None:
         self._project = project
-        self._tables: dict[str, ModuleSymbols] = {
-            info.name: ModuleSymbols(info) for info in project.modules
+        self._defined: dict[str, frozenset[str]] = {
+            info.name: _top_level_names(info.tree) for info in project.modules
         }
 
     def canonicalize(self, module_name: str, name: str) -> str:
@@ -111,9 +72,8 @@ class ProjectSymbols:
         info = self._project.module(module_name)
         if info is None:
             return name
-        head, _, rest = name.partition(".")
-        table = self._tables.get(module_name)
-        if table is not None and head in table.by_name and head not in info.imports.aliases:
-            local = table.by_name[head].qualname
-            return f"{local}.{rest}" if rest else local
+        head = name.partition(".")[0]
+        defined = self._defined.get(module_name, ())
+        if head in defined and head not in info.imports.aliases:
+            return f"{module_name}.{name}"
         return info.imports.resolve(name)

@@ -26,6 +26,10 @@ from repro.exceptions import ValidationError
 from repro.utils.numerics import row_sums
 from repro.utils.validation import check_positive, check_random_state
 
+#: Bytes of RNG draws (normals and uniforms) one block of MALA chains may
+#: hold; :meth:`BatchedLangevinSampler.run` sizes its blocks from it.
+BLOCK_BYTES = 8 * 2**20
+
 
 def log_acceptance_ratio(
     proposal_log_density, current_log_density, log_correction=0.0
@@ -231,6 +235,14 @@ class BatchedLangevinSampler:
     per row (the target permitting), so row ``i`` of a batch equals the
     lone row of a one-chain run bit for bit.
 
+    **Blocks of chains.** :meth:`run` advances the chains in consecutive
+    blocks of ``max(1, BLOCK_BYTES // (8·steps·(d+1)))`` chains, so one
+    block's draws take at most :data:`BLOCK_BYTES` whatever ``n_chains``
+    is. Blocks draw in chain order and the steps draw nothing, so the
+    stream is consumed exactly as by one block of all chains; and since
+    every row's arithmetic is independent of its neighbours, neither the
+    states nor the acceptance count depend on where the blocks split.
+
     Parameters
     ----------
     log_density_and_grad:
@@ -326,9 +338,37 @@ class BatchedLangevinSampler:
                 f"initial state must have shape ({self.dimension},)"
             )
 
-        state = np.repeat(start[None, :], n_chains, axis=0)
+        block = max(1, BLOCK_BYTES // (8 * steps * (self.dimension + 1)))
+        samples = np.empty((n_chains, self.dimension))
+        log_densities = np.empty(n_chains)
+        accepted = 0
+        for first in range(0, n_chains, block):
+            chains = min(block, n_chains - first)
+            state, state_log_density, block_accepted = self._run_block(
+                np.repeat(start[None, :], chains, axis=0), steps, rng
+            )
+            samples[first : first + chains] = state
+            log_densities[first : first + chains] = state_log_density
+            accepted += block_accepted
+
+        return LangevinResult(
+            samples=samples,
+            acceptance_rate=accepted / (n_chains * steps),
+            log_densities=log_densities,
+        )
+
+    def _run_block(
+        self, state: np.ndarray, steps: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Run one block of chains from ``state`` through all ``steps``.
+
+        Checks the target's first evaluation before drawing the block's
+        RNG rows, whose arrays die with this call, so a run never holds
+        two blocks' draws. Returns the final states, their log-densities
+        and the number of accepted proposals.
+        """
         state_log_density, state_grad = self._evaluate(state)
-        if state_log_density.shape != (n_chains,):
+        if state_log_density.shape != (state.shape[0],):
             raise ValidationError(
                 "log_density_and_grad must map (m, d) states to (m,) "
                 "log-densities"
@@ -342,13 +382,11 @@ class BatchedLangevinSampler:
                 "log_density_and_grad must map (m, d) states to (m, d) "
                 "gradients"
             )
-
-        noise, log_uniforms = self._draw_blocks(n_chains, steps, rng)
+        noise, log_uniforms = self._draw_blocks(state.shape[0], steps, rng)
         h = self.step_size
         half_h2 = 0.5 * h * h
         inv_2h2 = 1.0 / (2.0 * h * h)
         accepted = 0
-
         for step in range(steps):
             drift = state + half_h2 * state_grad
             proposal = drift + h * noise[:, step, :]
@@ -369,9 +407,4 @@ class BatchedLangevinSampler:
             )
             state_grad = np.where(accept[:, None], proposal_grad, state_grad)
             accepted += int(accept.sum())
-
-        return LangevinResult(
-            samples=state,
-            acceptance_rate=accepted / (n_chains * steps),
-            log_densities=state_log_density,
-        )
+        return state, state_log_density, accepted

@@ -147,11 +147,25 @@ def _run_serial(
     return records
 
 
+def _register_benchmarks() -> None:
+    """Pool-worker initializer: make ``benchmarks.*`` importable by name.
+
+    The engine registers the repository's ``benchmarks`` package by path,
+    and a worker started by ``spawn`` or ``forkserver`` does not inherit
+    it; the bench cases it is sent are pickled by that module name.
+    """
+    from repro.experiments import engine
+
+    engine._register_bench_package(engine._REPO_ROOT / "benchmarks")
+
+
 def _run_pooled(
     fn: Callable[..., Mapping], configurations: Sequence[Mapping], workers: int
 ) -> list[ConfigurationRecord]:
     records = []
-    with ProcessPoolExecutor(max_workers=workers) as executor:
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_register_benchmarks
+    ) as executor:
         futures = [executor.submit(_invoke, fn, dict(c)) for c in configurations]
         # Resolve strictly in submission order so the returned list is
         # deterministic no matter which worker finishes first.

@@ -66,7 +66,10 @@ class PreparedAudit:
         no longer need one; the hook remains for mechanisms whose audit
         must bypass ``release`` entirely.
     output_key:
-        Optional raw-output → hashable-key transform.
+        Optional raw-output → hashable-key transform. It is handed one
+        row of the batch at a time: an element of ``release_many``'s
+        ``tolist()`` (a nested list for an array batch) or of a custom
+        sampler's outputs.
     note:
         One-line description of what the audit checks.
     """
@@ -138,7 +141,7 @@ def _randomized_response(
         pair=NeighborPair((0,), (1,), name="single-bit flip"),
         epsilon=mechanism.epsilon,
         kind="discrete",
-        output_key=lambda bits: int(np.asarray(bits).reshape(-1)[0]),
+        output_key=lambda bits: int(bits[0]),
         note="Warner randomization of one bit — saturates ε exactly",
     )
 
@@ -272,7 +275,7 @@ def _local_sampling(epsilon: float, n: int, noise_scale: float) -> PreparedAudit
         pair=pair,
         epsilon=mechanism.epsilon,
         kind="binned",
-        output_key=lambda reports: float(np.asarray(reports).reshape(-1)[0]),
+        output_key=lambda reports: float(reports[0][0]),
         note="DJW ℓ2 sampling mechanism — halfsphere odds saturate ε",
     )
 
@@ -302,7 +305,7 @@ def _langevin(epsilon: float, n: int, noise_scale: float) -> PreparedAudit:
         pair=pair,
         epsilon=mechanism.epsilon,
         kind="binned",
-        output_key=lambda theta: float(np.asarray(theta).reshape(-1)[0]),
+        output_key=lambda theta: float(theta[0]),
         note="regularized exponential mechanism over R^d via batched MALA",
     )
 

@@ -447,3 +447,26 @@ class TestRegisteredBenchSpecs:
         manifest = load_manifest(tmp_path / "out" / "BENCH_E1.json")
         assert manifest.experiment_id == "E1"
         assert manifest.failures == 0
+
+    def test_spawned_pool_runs_from_outside_the_repository(self, tmp_path):
+        """Pool workers started by ``spawn`` import the bench cases by name."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        script = (
+            "import multiprocessing\n"
+            "from repro.experiments import BenchmarkEngine, get_experiment\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "manifest = BenchmarkEngine(workers=2).run_experiment(\n"
+            "    get_experiment('E1'))\n"
+            "print(manifest.failures, len(manifest.records))\n"
+            "for record in manifest.records:\n"
+            "    print(record.error)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        failures, records = result.stdout.split("\n", 1)[0].split()
+        assert failures == "0", result.stdout
+        assert int(records) > 1

@@ -93,6 +93,73 @@ class TestPosterior:
         assert mse_loose < mse_strict
 
 
+class TestPosteriorInATail:
+    """A large ε puts the tempered posterior of an all-ones or all-zeros
+    sample far outside ``[a, 1 - a]``: the interval's mass underflows,
+    rounds away or keeps a few bits in ``I(θ)`` coordinates, and the
+    sampler measures it in log space from the tail it lies in."""
+
+    @pytest.fixture
+    def model(self):
+        return TruncatedBetaBernoulliPosterior(epsilon=50.0, truncation=0.05)
+
+    @pytest.mark.parametrize(
+        "data, epsilon, edge",
+        [
+            ([1] * 4000, 50.0, 0.95),
+            ([0] * 400, 50.0, 0.05),
+            ([0] * 4000, 50.0, 0.05),
+            ([0] * 400, 10.0, 0.05),
+        ],
+        ids=["4000-ones", "400-zeros", "4000-zeros", "400-zeros-eps10"],
+    )
+    def test_mass_piles_at_the_near_edge(self, data, epsilon, edge):
+        model = TruncatedBetaBernoulliPosterior(epsilon=epsilon, truncation=0.05)
+        alpha, beta = model.posterior_parameters(data)
+        mean = model.posterior_mean(data)
+        # The law within the interval is close to exponential at the
+        # edge, with scale 1 / |d log density / dθ| there.
+        scale = 1.0 / abs((alpha - 1.0) / edge - (beta - 1.0) / (1.0 - edge))
+        assert abs(mean - edge) == pytest.approx(scale, rel=0.01)
+        draws = np.asarray(model.release_many(data, 400, random_state=2))
+        assert draws.min() >= 0.05 and draws.max() <= 0.95
+        assert np.abs(draws - edge).max() < 20 * scale
+        assert draws.mean() == pytest.approx(mean, abs=4 * scale / 20)
+
+    def test_density_normalized(self, model):
+        thetas = np.linspace(0.95 - 1e-3, 0.95, 100_001)
+        densities = model.posterior_density([1] * 4000, thetas)
+        assert np.trapezoid(densities, thetas) == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "data, epsilon, truncation",
+        [([1] * 25, 50.0, 0.05), ([0, 0, 0], 50.0, 0.2), ([1] * 40, 10.0, 0.1)],
+    )
+    def test_log_space_quantiles_match_the_cdf_path(self, data, epsilon, truncation):
+        """Where ``I(θ)`` still resolves the interval, the log-space
+        quantile agrees with ``betaincinv`` on it."""
+        from scipy.special import betaincinv
+
+        model = TruncatedBetaBernoulliPosterior(
+            epsilon=epsilon, truncation=truncation
+        )
+        alpha, beta = model.posterior_parameters(data)
+        low, high = model._truncated_cdf_bounds(alpha, beta)
+        # The tail sampler's orientation, on a law it would not be given.
+        reflected = low + high > 1.0
+        p, q = (beta, alpha) if reflected else (alpha, beta)
+        for u in (0.0, 1e-9, 0.3, 0.5, 0.999):
+            expected = float(betaincinv(alpha, beta, low + (high - low) * u))
+            quantile = model._tail_inverse_cdf(p, q, 1.0 - u if reflected else u)
+            got = 1.0 - quantile if reflected else quantile
+            assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        tail_mean = p / (p + q) * np.exp(
+            model._log_tail_mass(p + 1.0, q) - model._log_tail_mass(p, q)
+        )
+        mean = 1.0 - tail_mean if reflected else tail_mean
+        assert mean == pytest.approx(model.posterior_mean(data), rel=1e-9)
+
+
 class TestPrivacyOfPosteriorSampling:
     def test_discretized_audit_respects_guarantee(self):
         """Discretize the released sample to a fine grid and audit the

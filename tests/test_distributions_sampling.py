@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.distributions import sampling
 from repro.distributions import (
     BatchedLangevinSampler,
     MetropolisHastingsSampler,
@@ -210,6 +211,30 @@ class TestBatchedLangevinSampler:
             [sampler.run(1, steps=25, random_state=rng).samples[0] for _ in range(7)]
         )
         assert np.array_equal(batch, sequential)
+
+    def test_block_size_follows_steps_and_dimension(self):
+        """At the default budget, 120 steps in d = 2 run 2912 chains per
+        block, the last block holding the remainder."""
+        rows = []
+
+        def target(theta):
+            rows.append(theta.shape[0])
+            return -0.5 * (theta * theta).sum(axis=1), -theta
+
+        sampler = BatchedLangevinSampler(target, 2, step_size=0.9)
+        result = sampler.run(2 * 2912 + 3, steps=120, random_state=0)
+        assert 2912 == sampling.BLOCK_BYTES // (8 * 120 * 3)
+        assert rows == [2912] * 121 + [2912] * 121 + [3] * 121
+        assert result.samples.shape == (2 * 2912 + 3, 2)
+
+    def test_default_blocks_equal_one_block(self, monkeypatch):
+        sampler = self._standard_normal(2)
+        blocked = sampler.run(6_000, steps=120, random_state=9)
+        monkeypatch.setattr(sampling, "BLOCK_BYTES", 2**62)
+        whole = sampler.run(6_000, steps=120, random_state=9)
+        assert np.array_equal(blocked.samples, whole.samples)
+        assert np.array_equal(blocked.log_densities, whole.log_densities)
+        assert blocked.acceptance_rate == whole.acceptance_rate
 
     def test_shifted_target_mean(self):
         mu = np.array([1.5, -2.0])

@@ -219,6 +219,22 @@ class TestRegistryAndReports:
     def test_sabotaged_name_is_labelled(self):
         assert "noise×0.5" in build_audit("laplace", noise_scale=0.5).name
 
+    @pytest.mark.parametrize(
+        "family", ["randomized-response", "local-sampling", "langevin"]
+    )
+    def test_output_key_reads_the_first_coordinate(self, family):
+        """The key of each row of ``release_many(...).tolist()`` is its
+        first scalar, as a Python ``int``/``float``, for the families whose
+        outputs are arrays."""
+        prepared = build_audit(family)
+        batch = prepared.mechanism.release_many(
+            prepared.pair.a, 50, random_state=4
+        )
+        keys = [prepared.output_key(row) for row in batch.tolist()]
+        first = batch.reshape(len(batch), -1)[:, 0].tolist()
+        assert keys == first
+        assert {type(key) for key in keys} == {type(first[0])}
+
     def test_report_serializes_to_json(self):
         report = run_audit(
             build_audit("randomized-response"),

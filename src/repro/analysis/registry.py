@@ -17,7 +17,6 @@ _REGISTRY: dict[str, type[Rule]] = {}
 #: Modules that define rules; imported lazily by :func:`all_rules`.
 _RULE_MODULES = (
     "repro.analysis.rules.rng",
-    "repro.analysis.rules.validation",
     "repro.analysis.rules.sampling",
     "repro.analysis.rules.exports",
     "repro.analysis.rules.docstrings",

@@ -5,7 +5,6 @@ Importing this package registers every rule with
 """
 
 from repro.analysis.rules.rng import RngDisciplineRule
-from repro.analysis.rules.validation import ValidatePrivacyParamsRule
 from repro.analysis.rules.sampling import NoNaiveSamplingRule
 from repro.analysis.rules.exports import ExplicitExportsRule
 from repro.analysis.rules.docstrings import DocstringParametersRule
@@ -15,5 +14,4 @@ __all__ = [
     "ExplicitExportsRule",
     "NoNaiveSamplingRule",
     "RngDisciplineRule",
-    "ValidatePrivacyParamsRule",
 ]

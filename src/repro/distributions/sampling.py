@@ -9,7 +9,8 @@ chains advanced in lock-step as one set of numpy array operations, under a
 single stream-disciplined :class:`numpy.random.Generator`.
 
 All Metropolis acceptance arithmetic stays in log-space
-(:func:`log_acceptance_ratio`): at Gibbs temperatures of order ``ε·n`` the
+(:func:`log_acceptance_ratio`, and the same decisions written as one
+comparison in the MALA step): at Gibbs temperatures of order ``ε·n`` the
 density *ratio* overflows ``float64`` long before the log-ratio leaves
 ``[-10⁹, 10⁹]``, and a non-finite proposal density must reject rather
 than wedge the chain in a state it can never leave.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.utils.numerics import row_sums
+from repro.utils.numerics import column_sums
 from repro.utils.validation import check_positive, check_random_state
 
 #: Bytes of RNG draws (normals and uniforms) one block of MALA chains may
@@ -221,8 +222,10 @@ class BatchedLangevinSampler:
     ``ξ ~ N(0, I_d)`` and accepts with the exact MH correction for the
     asymmetric proposal, so every chain targets ``π`` exactly. The batch
     advances ``m`` chains in lock-step: one step is a handful of numpy
-    operations on ``(m, d)`` arrays instead of ``m`` Python-level
-    iterations, which is where the batched speedup comes from.
+    operations on ``(d, m)`` arrays instead of ``m`` Python-level
+    iterations, which is where the batched speedup comes from. The chain
+    axis is last and contiguous, so each operation runs one inner loop of
+    length ``m`` rather than ``m`` loops of length ``d``.
 
     **Stream discipline.** All randomness comes from one injected
     :class:`numpy.random.Generator`, consumed in per-chain blocks — chain
@@ -231,9 +234,10 @@ class BatchedLangevinSampler:
     batch of ``m`` chains is therefore bit-identical to ``m`` sequential
     single-chain runs sharing the generator, which is what lets
     ``Mechanism.release_many`` keep its stream-equivalence contract on
-    top of this sampler. The step arithmetic is elementwise/`einsum`-free
-    per row (the target permitting), so row ``i`` of a batch equals the
-    lone row of a one-chain run bit for bit.
+    top of this sampler. The step arithmetic is elementwise per chain,
+    and its row sums add a chain's ``d`` terms in numpy's order (the
+    target permitting), so chain ``i`` of a batch equals the lone chain of
+    a one-chain run bit for bit.
 
     **Blocks of chains.** :meth:`run` advances the chains in consecutive
     blocks of ``max(1, BLOCK_BYTES // (8·steps·(d+1)))`` chains, so one
@@ -252,7 +256,12 @@ class BatchedLangevinSampler:
         every proposal and they usually share work (the margins of a
         margin loss). Row ``i`` of each output must depend only on row
         ``i`` of the input (no cross-chain reductions), or batched and
-        sequential runs will diverge.
+        sequential runs will diverge. The states arrive as the ``(m, d)``
+        transpose of a ``(d, m)`` array, and a gradient that is itself
+        such a transpose is used without a copy. numpy sums a row of 8 or
+        more entries, and einsum contracts 3 or more, in an order that
+        follows the memory layout; a target that does either should copy
+        the states to C order first, as the Langevin target does.
     dimension:
         Dimension ``d`` of the state space.
     step_size:
@@ -294,9 +303,10 @@ class BatchedLangevinSampler:
         """
         noise = np.empty((n_chains, steps, self.dimension))
         uniforms = np.empty((n_chains, steps))
-        for chain in range(n_chains):
-            rng.standard_normal(out=noise[chain])
-            rng.random(out=uniforms[chain])
+        normal, uniform = rng.standard_normal, rng.random
+        for chain_noise, chain_uniforms in zip(noise, uniforms):
+            normal(out=chain_noise)
+            uniform(out=chain_uniforms)
         with np.errstate(divide="ignore"):
             return noise, np.log(uniforms, out=uniforms)
 
@@ -345,9 +355,9 @@ class BatchedLangevinSampler:
         for first in range(0, n_chains, block):
             chains = min(block, n_chains - first)
             state, state_log_density, block_accepted = self._run_block(
-                np.repeat(start[None, :], chains, axis=0), steps, rng
+                np.repeat(start[:, None], chains, axis=1), steps, rng
             )
-            samples[first : first + chains] = state
+            samples[first : first + chains] = state.T
             log_densities[first : first + chains] = state_log_density
             accepted += block_accepted
 
@@ -360,15 +370,20 @@ class BatchedLangevinSampler:
     def _run_block(
         self, state: np.ndarray, steps: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Run one block of chains from ``state`` through all ``steps``.
+        """Run one block of chains from the ``(d, m)`` ``state`` through
+        all ``steps``.
 
-        Checks the target's first evaluation before drawing the block's
-        RNG rows, whose arrays die with this call, so a run never holds
-        two blocks' draws. Returns the final states, their log-densities
+        States, gradients, drifts and proposals are held chains-last, as
+        ``(d, m)`` arrays, so every step operation runs one long inner
+        loop; the target sees their ``(m, d)`` transposes. Checks the
+        target's first evaluation before drawing the block's RNG rows,
+        whose arrays die with this call, so a run never holds two blocks'
+        draws. Returns the final ``(d, m)`` states, their log-densities
         and the number of accepted proposals.
         """
-        state_log_density, state_grad = self._evaluate(state)
-        if state_log_density.shape != (state.shape[0],):
+        chains = state.shape[1]
+        state_log_density, state_grad = self._evaluate(state.T)
+        if state_log_density.shape != (chains,):
             raise ValidationError(
                 "log_density_and_grad must map (m, d) states to (m,) "
                 "log-densities"
@@ -377,34 +392,42 @@ class BatchedLangevinSampler:
             raise ValidationError(
                 "log_density must be finite at the initial state"
             )
-        if state_grad.shape != state.shape:
+        if state_grad.shape != (chains, self.dimension):
             raise ValidationError(
                 "log_density_and_grad must map (m, d) states to (m, d) "
                 "gradients"
             )
-        noise, log_uniforms = self._draw_blocks(state.shape[0], steps, rng)
+        state_grad = state_grad.T
+        noise, log_uniforms = self._draw_blocks(chains, steps, rng)
         h = self.step_size
         half_h2 = 0.5 * h * h
         inv_2h2 = 1.0 / (2.0 * h * h)
         accepted = 0
         for step in range(steps):
             drift = state + half_h2 * state_grad
-            proposal = drift + h * noise[:, step, :]
-            proposal_log_density, proposal_grad = self._evaluate(proposal)
+            proposal = drift + h * noise[:, step, :].T
+            proposal_log_density, proposal_grad = self._evaluate(proposal.T)
+            proposal_grad = proposal_grad.T
             reverse_drift = proposal + half_h2 * proposal_grad
             with np.errstate(invalid="ignore"):
-                log_forward = -inv_2h2 * row_sums((proposal - drift) ** 2)
-                log_backward = -inv_2h2 * row_sums((state - reverse_drift) ** 2)
-                log_ratio = log_acceptance_ratio(
-                    proposal_log_density,
-                    state_log_density,
-                    log_correction=log_backward - log_forward,
+                log_forward = -inv_2h2 * column_sums((proposal - drift) ** 2)
+                log_backward = -inv_2h2 * column_sums(
+                    (state - reverse_drift) ** 2
                 )
-            accept = log_uniforms[:, step] < log_ratio
-            state = np.where(accept[:, None], proposal, state)
+                # The comparison is False wherever log_acceptance_ratio
+                # would give -inf: a NaN ratio or a non-finite proposal.
+                raw = (
+                    proposal_log_density
+                    - state_log_density
+                    + (log_backward - log_forward)
+                )
+            accept = (log_uniforms[:, step] < raw) & np.isfinite(
+                proposal_log_density
+            )
+            state = np.where(accept, proposal, state)
             state_log_density = np.where(
                 accept, proposal_log_density, state_log_density
             )
-            state_grad = np.where(accept[:, None], proposal_grad, state_grad)
-            accepted += int(accept.sum())
+            state_grad = np.where(accept, proposal_grad, state_grad)
+            accepted += np.count_nonzero(accept)
         return state, state_log_density, accepted

@@ -36,7 +36,7 @@ from repro.learning.losses import MarginLoss
 from repro.learning.models import _check_classification_data
 from repro.mechanisms.base import Mechanism, PrivacySpec
 from repro.mechanisms.sensitivity import empirical_risk_sensitivity
-from repro.utils.numerics import row_sums
+from repro.utils.numerics import row_combinations, row_dots, row_sums
 from repro.utils.validation import check_positive, check_random_state
 
 
@@ -132,10 +132,16 @@ class RegularizedExponentialMechanism(Mechanism):
     def _posterior_sampler(self, x, y) -> BatchedLangevinSampler:
         """Build the batched MALA sampler targeting this dataset's posterior.
 
-        The returned sampler's target maps ``(m, d)`` states row-wise
-        (``einsum`` contractions only — no BLAS matmul — so row ``i`` of a
-        batch is bit-identical to a one-chain evaluation) and computes the
-        margins once for both the log-density and its gradient.
+        The returned sampler's target maps ``(m, d)`` states row-wise (no
+        BLAS matmul, so row ``i`` of a batch is bit-identical to a
+        one-chain evaluation) and computes the margins once for both the
+        log-density and its gradient. Its contractions are
+        :func:`~repro.utils.numerics.row_dots` and
+        :func:`~repro.utils.numerics.row_combinations`: einsum's bits, by
+        whole columns on the audit's small shapes. Handed the transpose
+        of a ``(d, m)`` array, as the sampler does, it works along
+        contiguous columns and returns a gradient backed by a ``(d, m)``
+        array.
         """
         x, y = _check_classification_data(x, y)
         norms = np.linalg.norm(x, axis=1)
@@ -151,14 +157,18 @@ class RegularizedExponentialMechanism(Mechanism):
         regularization = self.regularization
 
         def log_density_and_grad(theta: np.ndarray):
-            margins = np.einsum("md,nd->mn", theta, z)
+            if d > 2:
+                # einsum over 3 or more columns, and numpy's sum over 8 or
+                # more, add in an order that follows the memory layout.
+                theta = np.ascontiguousarray(theta)
+            margins = row_dots(theta, z)
             values, weights = loss.value_and_derivative(margins)
             squared_norms = row_sums(theta * theta)
             mean_values = row_sums(values) / values.shape[1]
             log_density = -temperature * (
                 mean_values + 0.5 * regularization * squared_norms
             )
-            risk_grad = np.einsum("mn,nd->md", weights, z) / n
+            risk_grad = row_combinations(weights, z) / n
             grad = -temperature * (risk_grad + regularization * theta)
             return log_density, grad
 

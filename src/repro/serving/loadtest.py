@@ -43,7 +43,7 @@ from repro.serving.clock import SimulatedClock, SystemClock
 from repro.serving.service import ReleaseService, ServiceConfig
 from repro.serving.tenants import TenantRegistry
 from repro.testing.statistical import derive_seed
-from repro.utils.validation import check_random_state
+from repro.utils.validation import check_positive, check_random_state
 
 __all__ = [
     "LOADTEST_SCHEMA_VERSION",
@@ -137,6 +137,7 @@ class LoadTestSpec:
             )
         if self.mean_think < 0:
             raise ValidationError("mean_think must be >= 0")
+        check_positive(self.epsilon, name="epsilon")
 
     def to_dict(self) -> dict:
         """The spec as a JSON-serializable dict."""

@@ -83,6 +83,9 @@ class PreparedAudit:
     output_key: Callable | None = None
     note: str = ""
 
+    def __post_init__(self) -> None:
+        check_positive(self.epsilon, name="epsilon")
+
 
 def _sum_query(dataset):
     """Sum of the records — sensitivity ``high - low`` on a bounded domain."""

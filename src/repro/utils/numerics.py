@@ -64,6 +64,75 @@ def row_sums(values: np.ndarray) -> np.ndarray:
     return total
 
 
+def column_sums(columns: np.ndarray) -> np.ndarray:
+    """``np.ascontiguousarray(columns.T).sum(axis=1)`` for a 2-D float
+    array, bit for bit: each column summed as numpy sums a C-ordered row.
+
+    The chains-last counterpart of :func:`row_sums`: below 8 rows it adds
+    whole rows in numpy's order. From 8 numpy sums a C-ordered row
+    pairwise but a Fortran-ordered one (``columns.T`` itself) in
+    sequence, so those go to numpy through a C-ordered copy.
+    """
+    if columns.shape[0] >= _PAIRWISE_COLUMNS:
+        return np.ascontiguousarray(columns.T).sum(axis=1)
+    return row_sums(columns.T)
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.einsum("md,nd->mn", a, b)`` on a C-ordered ``a``, bit for bit,
+    and faster for one or two columns and fewer than 8 rows of ``b``.
+
+    With ``d ≤ 2`` every order einsum may add in sums the same two
+    products, and its fused multiply-add onto a zero accumulator rounds
+    like a plain product added to +0.0; so ``0.0 + b[:, 0:1]·a₀
+    (+ b[:, 1:2]·a₁)`` over whole columns gives einsum's bits, whatever
+    the layout of ``a`` (a column of a transposed ``(d, m)`` array is
+    contiguous). The result is the ``(m, n)`` transpose of that ``(n, m)``
+    array, whose short rows :func:`row_sums` adds by columns. From three
+    columns einsum's order follows ``a``'s memory layout, and from 8 rows
+    of ``b`` numpy's pairwise row sums follow the result's, so those go
+    to einsum with ``a`` as a C-ordered copy. NaN inputs give NaN where
+    einsum does, not always with its payload.
+    """
+    width = a.shape[1]
+    if width == 0 or width > 2 or b.shape[0] >= _PAIRWISE_COLUMNS:
+        return np.einsum("md,nd->mn", np.ascontiguousarray(a), b)
+    total = 0.0 + b[:, 0:1] * a[:, 0]
+    if width == 2:
+        total = total + b[:, 1:2] * a[:, 1]
+    return total.T
+
+
+def row_combinations(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``np.einsum("mn,nd->md", weights, rows)`` on a C-ordered
+    ``weights``, bit for bit, and faster below 8 rows.
+
+    When ``rows`` is C-ordered with at least two columns, einsum adds the
+    ``n`` products of each entry one after another from +0.0; below 8
+    rows, adding ``rows[k]`` times the column ``weights[:, k]`` as whole
+    ``(d, m)`` arrays in the same order gives the same bits, whatever the
+    layout of ``weights``. The result is the ``(m, d)`` transpose of that
+    array, so a chains-last caller reads it without a copy. With one
+    column, or Fortran-ordered ``rows``, both operands are contiguous
+    along ``n`` and einsum's vector loop adds in another order; those,
+    wider sums and empty ones go to einsum, with ``weights`` as a
+    C-ordered copy. NaN inputs give NaN where einsum does, not always
+    with its payload.
+    """
+    n, width = rows.shape
+    if (
+        n == 0
+        or n >= _PAIRWISE_COLUMNS
+        or width < 2
+        or not rows.flags.c_contiguous
+    ):
+        return np.einsum("mn,nd->md", np.ascontiguousarray(weights), rows)
+    total = 0.0 + rows[0][:, None] * weights[:, 0]
+    for k in range(1, n):
+        total = total + rows[k][:, None] * weights[:, k]
+    return total.T
+
+
 def log_mean_exp(log_values, axis=None) -> np.ndarray | float:
     """Stable ``log(mean(exp(log_values)))``."""
     arr = np.asarray(log_values, dtype=float)

@@ -11,6 +11,7 @@ in the benchmark table alongside the asserted ratio.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import numpy as np
@@ -266,6 +267,32 @@ def _best_of_interleaved(first, second, repeats=7):
         second()
         best_second = min(best_second, time.perf_counter() - start)
     return best_first, best_second
+
+
+def _seconds(fn):
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def _median_pair_ratio(fast, reference, *, pairs):
+    """Median over ``pairs`` back-to-back runs of ``reference``'s time over
+    ``fast``'s, the first of each pair alternating between the two.
+
+    A slow spell of the host that covers a pair slows both of its sides;
+    one that splits a pair moves only that pair's ratio, which the median
+    discards. Best-of-N times are steadier per side but pair the two
+    sides' luckiest runs, which need not fall in the same spell."""
+    ratios = []
+    for pair in range(pairs):
+        if pair % 2:
+            reference_seconds = _seconds(reference)
+            fast_seconds = _seconds(fast)
+        else:
+            fast_seconds = _seconds(fast)
+            reference_seconds = _seconds(reference)
+        ratios.append(reference_seconds / fast_seconds)
+    return statistics.median(ratios)
 
 
 # ``SparseVector.release_many`` lands about 12-14x ahead of the serial

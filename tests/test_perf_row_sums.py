@@ -10,6 +10,11 @@ Two floors, each timed in alternation with its reference:
 * the whole ``langevin`` audit at 12 000 samples against verbatim copies
   of the step and the target as they were before, which must also give
   the same report.
+
+The same reference sampler and target also pin E17's shape (d = 16,
+800 records, 64 chains, 120 steps), where the target's contractions stay
+on ``einsum`` and its wide row sums on numpy: samples, log-densities and
+acceptance rate must be the reference's bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +31,10 @@ from repro.distributions.sampling import (
     log_acceptance_ratio,
 )
 from repro.exceptions import ValidationError
+from repro.learning import LogisticLoss, TwoGaussiansTask
+from repro.learning.losses import TruncatedLoss
 from repro.learning.models import _check_classification_data
+from repro.private_learning import RegularizedExponentialMechanism
 from repro.testing import build_audit, derive_seed, run_audit
 from repro.utils.numerics import row_sums
 from repro.utils.validation import check_random_state
@@ -221,3 +229,31 @@ def test_langevin_audit_beats_the_old_step(benchmark):
         f"the old step's {reference_seconds:.3f}s — only {speedup:.2f}x, "
         f"need >= {MIN_AUDIT_SPEEDUP}x"
     )
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 2.0])
+def test_e17_shape_run_equals_the_old_step(epsilon):
+    mean = np.zeros(16)
+    mean[0], mean[1] = 1.38, 0.58
+    dataset = TwoGaussiansTask(mean, clip_features=True).sample(
+        800, random_state=0
+    )
+    mechanism = RegularizedExponentialMechanism(
+        TruncatedLoss(LogisticLoss(), ceiling=2.0), 0.05, epsilon
+    )
+    reference = RegularizedExponentialMechanism(
+        TruncatedLoss(LogisticLoss(), ceiling=2.0), 0.05, epsilon
+    )
+    reference._posterior_sampler = types.MethodType(
+        reference_posterior_sampler, reference
+    )
+
+    result = mechanism._sample_posterior(dataset, 64, np.random.default_rng(3))
+    expected = reference._sample_posterior(
+        dataset, 64, np.random.default_rng(3)
+    )
+
+    assert mechanism.steps == 120
+    assert result.samples.tobytes() == expected.samples.tobytes()
+    assert result.log_densities.tobytes() == expected.log_densities.tobytes()
+    assert result.acceptance_rate == expected.acceptance_rate

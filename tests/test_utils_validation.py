@@ -114,7 +114,7 @@ class TestCheckPositive:
 
 
 class TestPrivacyParameterEdgeCases:
-    """The ε/δ validation paths dplint rule DPL002 relies on."""
+    """The ε/δ validation paths the privacy-parameter sweep relies on."""
 
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, np.nan, np.inf, -np.inf])
     def test_degenerate_epsilon_rejected(self, epsilon):

@@ -87,9 +87,15 @@ class LogisticLoss(MarginLoss):
 
     def value(self, margins) -> np.ndarray:
         u = np.asarray(margins, dtype=float)
-        # log(1 + e^{-u}) computed stably for both signs of u.
+        # log(1 + e^{-u}) computed stably for both signs of u, as
+        # max(-u, 0) + log1p(e^{-|u|}) without a branch: -min(u, 0) is
+        # -0.0 for u > 0 and -u otherwise, so the sum is the same double
+        # as where(u > 0, t, -u + t), NaN sign included.
         t = np.log1p(np.exp(-np.abs(u)))
-        return np.where(u > 0, t, -u + t)
+        value = np.minimum(u, 0.0)
+        np.negative(value, out=value)
+        value += t
+        return value
 
     def derivative(self, margins) -> np.ndarray:
         u = np.asarray(margins, dtype=float)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 from typing import ClassVar
 
 from repro.exceptions import ValidationError
+from repro.utils.validation import check_in_range, check_positive
 
 __all__ = [
     "BudgetChargeEvent",
@@ -190,10 +191,20 @@ EVENT_KINDS: dict[str, type[LedgerEvent]] = {
 def event_from_dict(payload: dict) -> LedgerEvent:
     """Rebuild a ledger event from its :meth:`LedgerEvent.to_dict` form.
 
+    Events built in process are not checked; one read back from a trace
+    is, so that :func:`ledger_totals` of a corrupted trace raises instead
+    of composing to NaN or a negative spend.
+
     Parameters
     ----------
     payload:
         Dict with a ``kind`` discriminator plus that kind's fields.
+
+    Raises
+    ------
+    ValidationError
+        On an unknown kind or field, a missing field, ε that is not
+        finite and ``>= 0``, or δ outside ``[0, 1]``.
     """
     if not isinstance(payload, dict):
         raise ValidationError("ledger event payload must be a dict")
@@ -207,9 +218,15 @@ def event_from_dict(payload: dict) -> LedgerEvent:
     if extra:
         raise ValidationError(f"ledger event has unknown fields: {extra}")
     try:
-        return cls(**{k: v for k, v in payload.items() if k != "kind"})
+        event = cls(**{k: v for k, v in payload.items() if k != "kind"})
     except TypeError as error:
         raise ValidationError(f"malformed ledger event {payload!r}: {error}") from error
+    # A trace read back must compose to a real spend: ε finite and >= 0,
+    # δ in [0, 1]. (The ``remaining_*`` fields are left alone: the
+    # accountant's slack can leave them slightly below zero.)
+    check_positive(event.epsilon, name="ledger event epsilon", strict=False)
+    check_in_range(event.delta, name="ledger event delta", low=0.0, high=1.0)
+    return event
 
 
 def ledger_totals(

@@ -20,9 +20,11 @@ See ``docs/TESTING.md`` for the tier layout and how to write an audit.
 """
 
 from repro.testing.audit import (
+    CodedKeys,
     StatisticalAuditReport,
     assert_dp,
     audit_mechanism,
+    boolean_sequence_keys,
     clopper_pearson_interval,
     estimate_epsilon_lower_bound,
 )
@@ -49,6 +51,7 @@ from repro.testing.statistical import (
 __all__ = [
     "AUDIT_FAMILIES",
     "BASE_SEED",
+    "CodedKeys",
     "DEFAULT_POLICY",
     "NeighborPair",
     "PreparedAudit",
@@ -57,6 +60,7 @@ __all__ = [
     "assert_dp",
     "audit_mechanism",
     "bit_flip_pair",
+    "boolean_sequence_keys",
     "build_audit",
     "clopper_pearson_interval",
     "derive_seed",

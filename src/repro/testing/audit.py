@@ -25,11 +25,11 @@ style statements quantify over all pairs and all events); passing means
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
-from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,41 +176,113 @@ class StatisticalAuditReport:
         )
 
 
-def _default_key(output):
-    """Hashable representative of one mechanism output."""
-    if isinstance(output, np.ndarray):
-        return tuple(output.tolist())
-    if isinstance(output, (list, tuple)):
-        return tuple(output)
-    if isinstance(output, (np.floating, np.integer)):
-        return output.item()
-    return output
+@dataclass(frozen=True)
+class CodedKeys:
+    """Keys of a batch whose outputs no regular array can hold.
+
+    ``codes[i]`` is a canonical integer for output ``i``: equal outputs get
+    equal codes in every batch, so the codes of two batches compare
+    directly. ``decode(code)`` is the hashable key the code stands for; it
+    labels the code's atom event.
+    """
+
+    codes: np.ndarray
+    decode: Callable[[int], Hashable]
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index: slice) -> CodedKeys:
+        return CodedKeys(self.codes[index], self.decode)
+
+
+def _decode_boolean_sequence(code: int) -> tuple:
+    """The boolean tuple that :func:`boolean_sequence_keys` coded as ``code``."""
+    return tuple(bool(code >> j & 1) for j in range(code.bit_length() - 1))
+
+
+def boolean_sequence_keys(outputs) -> CodedKeys:
+    """Batch key of variable-length boolean sequences (answer streams).
+
+    Sequence ``s`` gets the code ``2^len(s) + sum_j bool(s[j]) 2^j``: the
+    leading bit records the length, so ``(False,)`` and ``(False, False)``
+    differ. A code decodes to ``tuple(bool(a) for a in s)``.
+
+    Parameters
+    ----------
+    outputs:
+        A batch of sequences, at most 62 elements long each.
+    """
+    lengths = np.fromiter(map(len, outputs), dtype=np.int64, count=len(outputs))
+    longest = int(lengths.max(initial=0))
+    if longest > 62:
+        raise ValidationError(
+            f"boolean sequences longer than 62 cannot be coded, got {longest}"
+        )
+    flat = np.fromiter(
+        itertools.chain.from_iterable(outputs), dtype=bool, count=int(lengths.sum())
+    )
+    bits = np.zeros((lengths.size, longest), dtype=np.int64)
+    bits[np.arange(longest) < lengths[:, None]] = flat
+    codes = (bits << np.arange(longest)).sum(axis=1) + (1 << lengths)
+    return CodedKeys(codes, _decode_boolean_sequence)
 
 
 def _draw_outputs(
     mechanism, dataset, size, rng, sampler, output_key
-) -> list:
-    """``size`` keyed outputs of ``mechanism`` on ``dataset``.
+):
+    """The keys of ``size`` outputs of ``mechanism`` on ``dataset``.
 
     Without a custom ``sampler`` the draws go through the mechanism's
     batched ``release_many`` (vectorized kernels where the family has
     one, a serial loop otherwise) — stream-identical to ``size``
-    sequential ``release`` calls, so audit results are unchanged while
-    audit-scale sampling runs at numpy speed.
+    sequential ``release`` calls. ``output_key`` maps the whole batch to
+    its keys; without one the batch is its own key (see
+    :func:`_batch_keys`).
     """
-    key = output_key or _default_key
     if sampler is not None:
         raw = sampler(dataset, size, rng)
     else:
         raw = mechanism.release_many(dataset, size, random_state=rng)
-    if isinstance(raw, np.ndarray):
-        raw = raw.tolist()
-    outputs = list(raw)
-    if len(outputs) != size:
+    if not isinstance(raw, np.ndarray):
+        raw = list(raw)
+    if len(raw) != size:
         raise ValidationError(
-            f"sampler returned {len(outputs)} outputs, expected {size}"
+            f"sampler returned {len(raw)} outputs, expected {size}"
         )
-    return [key(o) for o in outputs]
+    return _batch_keys(raw) if output_key is None else output_key(raw)
+
+
+def _batch_keys(batch):
+    """A batch as its own keys: an array as it is; a list as an array when
+    numpy holds it as numbers or booleans, else as hashable outputs."""
+    if isinstance(batch, np.ndarray):
+        return batch
+    try:
+        keys = np.asarray(batch)
+    except ValueError:  # ragged outputs
+        return batch
+    return keys if keys.dtype.kind in "biuf" else batch
+
+
+def _as_keys(keys_a, keys_b):
+    """Both samples in one key form: arrays, coded keys, or hashable lists.
+
+    Unless both sides are arrays, each side is read as a list of its
+    elements (an array's elements are numpy scalars then).
+    """
+    if isinstance(keys_a, CodedKeys) or isinstance(keys_b, CodedKeys):
+        if not (isinstance(keys_a, CodedKeys) and isinstance(keys_b, CodedKeys)):
+            raise ValidationError("coded keys can only be compared with coded keys")
+        return keys_a, keys_b
+    if isinstance(keys_a, np.ndarray) and isinstance(keys_b, np.ndarray):
+        if keys_a.ndim not in (1, 2) or keys_a.ndim != keys_b.ndim:
+            raise ValidationError(
+                "key arrays must both be 1-D (one key per output) or 2-D "
+                "(one key row per output)"
+            )
+        return keys_a, keys_b
+    return list(keys_a), list(keys_b)
 
 
 def _resolve_kind(kind: str, keys_a, keys_b, n_samples: int) -> str:
@@ -219,73 +291,113 @@ def _resolve_kind(kind: str, keys_a, keys_b, n_samples: int) -> str:
         return kind
     if kind != "auto":
         raise ValidationError("kind must be 'auto', 'discrete', or 'binned'")
-    distinct = len(set(keys_a) | set(keys_b))
-    numeric = all(
-        isinstance(k, (int, float)) and not isinstance(k, bool)
-        for k in keys_a[:64] + keys_b[:64]
-    )
-    if numeric and distinct > max(32, n_samples // 50):
-        return "binned"
-    return "discrete"
+    if isinstance(keys_a, CodedKeys):
+        return "discrete"
+    if isinstance(keys_a, np.ndarray):
+        if keys_a.ndim != 1 or keys_a.dtype.kind not in "iuf":
+            return "discrete"
+        pooled = np.concatenate((keys_a, keys_b))
+        distinct = np.unique(pooled, equal_nan=False).size
+    else:
+        if not all(
+            isinstance(k, (int, float)) and not isinstance(k, bool)
+            for k in keys_a[:64] + keys_b[:64]
+        ):
+            return "discrete"
+        distinct = len(set(keys_a) | set(keys_b))
+    return "binned" if distinct > max(32, n_samples // 50) else "discrete"
 
 
-def _discrete_events(pilot_a, pilot_b, max_events: int):
+def _atoms(parts):
+    """Atom index of every key of ``parts`` and the label of each atom.
+
+    Atoms are numbered over the pooled parts; a list's atom takes its
+    label from its first key, so the pilot halves come first.
+    """
+    if isinstance(parts[0], list):
+        index: dict = {}
+        ids = [index.setdefault(key, len(index)) for part in parts for key in part]
+        labels = list(index)
+        ids = np.array(ids, dtype=np.intp)
+    else:
+        coded = isinstance(parts[0], CodedKeys)
+        pooled = np.concatenate([part.codes if coded else part for part in parts])
+        atoms, ids = np.unique(
+            pooled,
+            return_inverse=True,
+            axis=0 if pooled.ndim == 2 else None,
+            equal_nan=False,
+        )
+        if coded:
+            labels = [parts[0].decode(code) for code in atoms.tolist()]
+        elif atoms.ndim == 2:
+            labels = [tuple(row) for row in atoms.tolist()]
+        else:
+            labels = atoms.tolist()
+    bounds = np.cumsum([len(part) for part in parts])[:-1]
+    return labels, np.split(ids, bounds)
+
+
+def _discrete_events(keys_a, keys_b, n: int, max_events: int):
     """Candidate events from the pilot halves: atoms + tilted regions.
 
-    Returns ``(labels, membership_fn)`` where ``membership_fn(keys)`` maps
-    a keyed sample to a ``(n_events, len(keys))`` boolean matrix.
+    Returns ``(labels, test_counts_a, test_counts_b)``: each event's label
+    and how many keys of each test half fall in it.
     """
-    counts_a = Counter(pilot_a)
-    counts_b = Counter(pilot_b)
-    support = sorted(set(counts_a) | set(counts_b), key=repr)
-    total_a = max(1, len(pilot_a))
-    total_b = max(1, len(pilot_b))
-
-    def gap(atom):
-        return abs(
-            counts_a.get(atom, 0) / total_a - counts_b.get(atom, 0) / total_b
-        )
-
-    atoms = sorted(support, key=gap, reverse=True)[:max_events]
-    over = frozenset(
-        atom
-        for atom in support
-        if counts_a.get(atom, 0) / total_a > counts_b.get(atom, 0) / total_b
+    # Strided pilot/test split: valid for i.i.d. draws like any fixed
+    # index split, and unbiased even if a caller hands in sorted outputs.
+    labels, (pilot_a, pilot_b, test_a, test_b) = _atoms(
+        [keys[start:n:2] for start in (0, 1) for keys in (keys_a, keys_b)]
     )
-    under = frozenset(
-        atom
-        for atom in support
-        if counts_a.get(atom, 0) / total_a < counts_b.get(atom, 0) / total_b
+    n_atoms = len(labels)
+    counts_a = np.bincount(pilot_a, minlength=n_atoms)
+    counts_b = np.bincount(pilot_b, minlength=n_atoms)
+    share_a = counts_a / max(1, len(pilot_a))
+    share_b = counts_b / max(1, len(pilot_b))
+    support = sorted(
+        np.flatnonzero(counts_a + counts_b).tolist(), key=lambda i: repr(labels[i])
     )
-    events: list[tuple[str, frozenset]] = [
-        (f"{{{atom!r}}}", frozenset([atom])) for atom in atoms
-    ]
-    if over and over != frozenset(support):
-        events.append(("pilot-over-weighted region", over))
-    if under and under != frozenset(support):
-        events.append(("pilot-under-weighted region", under))
-    labels = [label for label, _ in events]
-    sets = [s for _, s in events]
+    gaps = np.abs(share_a - share_b).tolist()
+    atoms = sorted(support, key=gaps.__getitem__, reverse=True)[:max_events]
+    over = share_a > share_b
+    under = share_a < share_b
+    tests_a = np.bincount(test_a, minlength=n_atoms)
+    tests_b = np.bincount(test_b, minlength=n_atoms)
+    events = [f"{{{labels[atom]!r}}}" for atom in atoms]
+    rows_a = tests_a[atoms].tolist()
+    rows_b = tests_b[atoms].tolist()
+    for label, region in (
+        ("pilot-over-weighted region", over),
+        ("pilot-under-weighted region", under),
+    ):
+        if 0 < np.count_nonzero(region) < len(support):
+            events.append(label)
+            rows_a.append(int(tests_a[region].sum()))
+            rows_b.append(int(tests_b[region].sum()))
+    return events, np.array(rows_a), np.array(rows_b)
 
-    def membership(keys: list) -> np.ndarray:
-        matrix = np.zeros((len(sets), len(keys)), dtype=bool)
-        for row, atom_set in enumerate(sets):
-            matrix[row] = [k in atom_set for k in keys]
-        return matrix
 
-    return labels, membership
+def _numeric(keys) -> np.ndarray:
+    if isinstance(keys, CodedKeys):
+        raise ValidationError("binned events need numeric keys, not coded ones")
+    values = np.asarray(keys, dtype=float)
+    if values.ndim != 1:
+        raise ValidationError("binned events need one numeric key per output")
+    return values
 
 
-def _binned_events(pilot_a, pilot_b, n_bins: int):
+def _binned_events(keys_a, keys_b, n: int, n_bins: int):
     """Bins + one-sided tail unions from the pooled pilot halves.
 
     Bin edges are equal-probability quantiles of the pooled pilot sample;
     events are every bin plus every left tail ``(-inf, edge)`` and right
     tail ``[edge, inf)`` — the binned analogue of one-sided likelihood-
     ratio (threshold) tests, which catch location shifts that no single
-    narrow bin certifies on its own.
+    narrow bin certifies on its own. Returns ``(labels, test_counts_a,
+    test_counts_b)``.
     """
-    pooled = np.asarray(list(pilot_a) + list(pilot_b), dtype=float)
+    values_a, values_b = _numeric(keys_a), _numeric(keys_b)
+    pooled = np.concatenate((values_a[0:n:2], values_b[0:n:2]))
     if float(np.ptp(pooled)) == 0.0:
         raise ValidationError(
             "continuous audit found a constant pilot sample; "
@@ -294,27 +406,26 @@ def _binned_events(pilot_a, pilot_b, n_bins: int):
     quantiles = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
     edges = np.unique(np.quantile(pooled, quantiles))
     labels: list[str] = []
-    events: list[tuple[int, int]] = []  # half-open bin-index ranges
     n_cells = edges.size + 1
     for i in range(n_cells):
         lo = f"{edges[i - 1]:.4g}" if i > 0 else "-inf"
         hi = f"{edges[i]:.4g}" if i < edges.size else "inf"
         labels.append(f"bin [{lo}, {hi})")
-        events.append((i, i + 1))
     for i in range(1, n_cells):
         labels.append(f"x < {edges[i - 1]:.4g}")
-        events.append((0, i))
         labels.append(f"x >= {edges[i - 1]:.4g}")
-        events.append((i, n_cells))
 
-    def membership(keys: list) -> np.ndarray:
-        cells = np.searchsorted(edges, np.asarray(keys, dtype=float), side="right")
-        matrix = np.zeros((len(events), len(keys)), dtype=bool)
-        for row, (lo, hi) in enumerate(events):
-            matrix[row] = (cells >= lo) & (cells < hi)
-        return matrix
+    def counts(values: np.ndarray) -> np.ndarray:
+        cells = np.bincount(
+            np.searchsorted(edges, values[1:n:2], side="right"), minlength=n_cells
+        )
+        # Each left tail counts the cells below its edge; its right tail
+        # counts the rest. Events alternate left, right per edge.
+        below = np.cumsum(cells)[:-1]
+        tails = np.column_stack((below, cells.sum() - below)).ravel()
+        return np.concatenate((cells, tails))
 
-    return labels, membership
+    return labels, counts(values_a), counts(values_b)
 
 
 def estimate_epsilon_lower_bound(
@@ -337,8 +448,10 @@ def estimate_epsilon_lower_bound(
     Parameters
     ----------
     outputs_a, outputs_b:
-        Hashable (or float, for binned audits) outputs drawn i.i.d. from
-        the mechanism on each dataset of a neighbouring pair.
+        Keys of outputs drawn i.i.d. from the mechanism on each dataset
+        of a neighbouring pair: 1-D arrays (one key per output), 2-D
+        arrays (one key row per output), :class:`CodedKeys`, or
+        sequences of hashable keys (numbers, for binned audits).
     confidence:
         Overall certification level; Bonferroni-divided internally across
         events and directions.
@@ -352,25 +465,16 @@ def estimate_epsilon_lower_bound(
         Interval method forwarded to :func:`clopper_pearson_interval`.
     """
     confidence = check_confidence(confidence, name="confidence")
-    keys_a = list(outputs_a)
-    keys_b = list(outputs_b)
+    keys_a, keys_b = _as_keys(outputs_a, outputs_b)
     n = min(len(keys_a), len(keys_b))
     if n < 4:
         raise ValidationError("need at least 4 samples per dataset")
-    # Strided pilot/test split: valid for i.i.d. draws like any fixed
-    # index split, and unbiased even if a caller hands in sorted outputs.
-    pilot_a, test_a = keys_a[0:n:2], keys_a[1:n:2]
-    pilot_b, test_b = keys_b[0:n:2], keys_b[1:n:2]
-
     resolved = _resolve_kind(kind, keys_a, keys_b, n)
     if resolved == "discrete":
-        labels, membership = _discrete_events(pilot_a, pilot_b, max_events)
+        labels, counts_a, counts_b = _discrete_events(keys_a, keys_b, n, max_events)
     else:
-        labels, membership = _binned_events(pilot_a, pilot_b, n_bins)
-
-    counts_a = membership(test_a).sum(axis=1)
-    counts_b = membership(test_b).sum(axis=1)
-    n_test_a, n_test_b = len(test_a), len(test_b)
+        labels, counts_a, counts_b = _binned_events(keys_a, keys_b, n, n_bins)
+    n_test = n // 2
     n_events = len(labels)
     # Bonferroni over every event in both directions: each of the 2·k
     # one-sided comparisons runs at level (1-confidence) / (2 k), so the
@@ -384,10 +488,10 @@ def estimate_epsilon_lower_bound(
     rows = []
     for label, k_a, k_b in zip(labels, counts_a, counts_b):
         low_a, high_a = clopper_pearson_interval(
-            int(k_a), n_test_a, confidence=per_comparison_confidence, method=method
+            int(k_a), n_test, confidence=per_comparison_confidence, method=method
         )
         low_b, high_b = clopper_pearson_interval(
-            int(k_b), n_test_b, confidence=per_comparison_confidence, method=method
+            int(k_b), n_test, confidence=per_comparison_confidence, method=method
         )
         bounds = []
         if low_a > 0 and high_b > 0:
@@ -396,8 +500,8 @@ def estimate_epsilon_lower_bound(
             bounds.append(math.log(low_b / high_a))
         certified = max(bounds) if bounds else 0.0
         # Smoothed plug-in estimate (add-1/2), uncertified diagnostics.
-        p_hat = (k_a + 0.5) / (n_test_a + 1.0)
-        q_hat = (k_b + 0.5) / (n_test_b + 1.0)
+        p_hat = (k_a + 0.5) / (n_test + 1.0)
+        q_hat = (k_b + 0.5) / (n_test + 1.0)
         observed = abs(math.log(p_hat / q_hat))
         point = max(point, observed)
         rows.append((certified, observed, label, int(k_a), int(k_b)))
@@ -472,8 +576,12 @@ def audit_mechanism(
         replacing a Python ``release`` loop; must draw from the same
         output law as ``mechanism.release``.
     output_key:
-        Maps one raw output to a hashable key (arrays become tuples by
-        default).
+        Maps a whole batch of outputs to its keys: a 1-D array (one key
+        per output, e.g. a column of an array batch), a 2-D array (one
+        key row per output), :class:`CodedKeys` (see
+        :func:`boolean_sequence_keys`), or a sequence of hashable keys.
+        By default an array batch is its own key, and so is a list
+        batch, as an array if numpy holds it as numbers or booleans.
     name:
         Display name for the report (defaults to the class name).
     """

@@ -33,7 +33,11 @@ from repro.mechanisms import (
     ReportNoisyMax,
     SparseVector,
 )
-from repro.testing.audit import StatisticalAuditReport, audit_mechanism
+from repro.testing.audit import (
+    StatisticalAuditReport,
+    audit_mechanism,
+    boolean_sequence_keys,
+)
 from repro.testing.neighbors import (
     NeighborPair,
     bit_flip_pair,
@@ -66,10 +70,10 @@ class PreparedAudit:
         no longer need one; the hook remains for mechanisms whose audit
         must bypass ``release`` entirely.
     output_key:
-        Optional raw-output → hashable-key transform. It is handed one
-        row of the batch at a time: an element of ``release_many``'s
-        ``tolist()`` (a nested list for an array batch) or of a custom
-        sampler's outputs.
+        Optional batch → keys projection, handed the whole batch that
+        ``release_many`` (or the custom sampler) returned; see
+        :func:`~repro.testing.audit.audit_mechanism`. By default the
+        batch is its own key.
     note:
         One-line description of what the audit checks.
     """
@@ -144,7 +148,7 @@ def _randomized_response(
         pair=NeighborPair((0,), (1,), name="single-bit flip"),
         epsilon=mechanism.epsilon,
         kind="discrete",
-        output_key=lambda bits: int(bits[0]),
+        output_key=lambda bits: bits[:, 0],
         note="Warner randomization of one bit — saturates ε exactly",
     )
 
@@ -213,7 +217,7 @@ def _sparse_vector(epsilon: float, n: int, noise_scale: float) -> PreparedAudit:
         pair=pair,
         epsilon=mechanism.epsilon,
         kind="discrete",
-        output_key=lambda answers: tuple(bool(a) for a in answers),
+        output_key=boolean_sequence_keys,
         note="AboveThreshold answer stream under the total ε₁+ε₂ budget",
     )
 
@@ -257,7 +261,7 @@ def _local(epsilon: float, n: int, noise_scale: float) -> PreparedAudit:
         pair=pair,
         epsilon=mechanism.epsilon,
         kind="discrete",
-        output_key=lambda reports: reports[0],
+        output_key=lambda reports: [report[0] for report in reports],
         note="k-RR per-record channel — the p/q ratio saturates ε exactly",
     )
 
@@ -278,7 +282,7 @@ def _local_sampling(epsilon: float, n: int, noise_scale: float) -> PreparedAudit
         pair=pair,
         epsilon=mechanism.epsilon,
         kind="binned",
-        output_key=lambda reports: float(reports[0][0]),
+        output_key=lambda reports: reports[:, 0, 0],
         note="DJW ℓ2 sampling mechanism — halfsphere odds saturate ε",
     )
 
@@ -308,7 +312,7 @@ def _langevin(epsilon: float, n: int, noise_scale: float) -> PreparedAudit:
         pair=pair,
         epsilon=mechanism.epsilon,
         kind="binned",
-        output_key=lambda theta: float(theta[0]),
+        output_key=lambda theta: theta[:, 0],
         note="regularized exponential mechanism over R^d via batched MALA",
     )
 

@@ -219,3 +219,48 @@ class TestValueAndDerivative:
                 -u + np.log1p(np.exp(-np.abs(u))),
             )
             np.testing.assert_array_equal(LogisticLoss().value(u), expected)
+
+
+def _branching_logistic(u):
+    """``LogisticLoss.value`` as it was: the sign of ``u`` picks the form."""
+    t = np.log1p(np.exp(-np.abs(u)))
+    return np.where(u > 0, t, -u + t)
+
+
+# NaNs of both signs, quiet and signalling, with and without payloads.
+_NAN_BITS = np.array(
+    [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+     0xFFF0000000000001, 0x7FF8000000000123, 0xFFF8000000000123,
+     0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF],
+    dtype=np.uint64,
+).view(np.float64)
+
+
+class TestBranchFreeLogistic:
+    """The branch-free ``-min(u, 0) + log1p(e^{-|u|})`` is the old
+    ``where(u > 0, t, -u + t)`` to the last bit, NaN signs and payloads
+    included (``t - min(u, 0)`` is not: it flips the sign of a negative
+    NaN)."""
+
+    @staticmethod
+    def _assert_same_bits(u):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = LogisticLoss().value(u)
+            want = _branching_logistic(u)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_edges(self):
+        tiny = np.finfo(float).smallest_subnormal
+        self._assert_same_bits(np.concatenate([
+            _EDGE_MARGINS, _NAN_BITS,
+            [tiny, -tiny, 1e-310, -1e-310, 2.2e-308, -2.2e-308],
+            [709.0, -709.0, 709.79, -709.79, 710.0, -710.0, 745.2, -745.2],
+            [746.0, -746.0, 1e300, -1e300],
+        ]))
+
+    def test_random_margins_in_audit_and_sweep_shapes(self):
+        rng = np.random.default_rng(29)
+        for shape in [(2912, 3), (64, 800)]:
+            self._assert_same_bits(rng.normal(scale=4.0, size=shape))
+        raw = rng.integers(0, 2**64, size=20_000, dtype=np.uint64)
+        self._assert_same_bits(raw.view(np.float64))

@@ -20,6 +20,7 @@ from repro.exceptions import ValidationError
 from repro.mechanisms import LaplaceMechanism
 from repro.observability import (
     BudgetChargeEvent,
+    BudgetRefundEvent,
     BudgetRefusalEvent,
     CalibrationEvent,
     ConsoleSink,
@@ -167,6 +168,38 @@ class TestEvents:
         payload["surprise"] = 1
         with pytest.raises(ValidationError):
             event_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epsilon", float("nan")), ("epsilon", float("inf")),
+         ("epsilon", float("-inf")), ("epsilon", -1.0), ("epsilon", "1"),
+         ("delta", float("nan")), ("delta", -1e-9), ("delta", 2.0),
+         ("delta", float("inf"))],
+    )
+    def test_read_back_event_needs_a_real_spend(self, field, value):
+        """A corrupted trace raises instead of totalling NaN or a negative
+        ε; building the same event in process still does not check."""
+        for cls in (MechanismReleaseEvent, BudgetChargeEvent,
+                    BudgetRefundEvent, BudgetRefusalEvent, CalibrationEvent):
+            event = cls(label="x", epsilon=0.5, delta=0.0)
+            payload = {**event.to_dict(), field: value}
+            assert cls(**{k: v for k, v in payload.items() if k != "kind"})
+            with pytest.raises(ValidationError, match=field):
+                event_from_dict(payload)
+            with pytest.raises(ValidationError):
+                ledger_totals([payload], kinds=(cls.kind,))
+
+    def test_read_back_event_keeps_valid_edges(self):
+        """ε = 0, δ in {0, 1} and a slack-negative remaining budget read
+        back unchanged."""
+        events = [
+            BudgetChargeEvent(label="a", epsilon=0.0, delta=1.0,
+                              remaining_epsilon=-1e-12, remaining_delta=-1e-15),
+            BudgetRefundEvent(label="b", epsilon=0.25, delta=0.0,
+                              remaining_epsilon=-1e-12),
+        ]
+        for event in events:
+            assert event_from_dict(event.to_dict()) == event
 
     def test_ledger_totals_sums_charges_only(self):
         events = [

@@ -196,6 +196,6 @@ def test_audit_under_default_policy_passes(statistical_rng):
         bit_flip_pair(1),
         n_samples=SAMPLES,
         random_state=statistical_rng,
-        output_key=lambda bits: int(bits[0]),
+        output_key=lambda bits: bits[:, 0],
     )
     assert report.satisfied

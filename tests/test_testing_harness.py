@@ -21,6 +21,7 @@ from repro.testing import (
     NeighborPair,
     StatisticalPolicy,
     bit_flip_pair,
+    boolean_sequence_keys,
     build_audit,
     clopper_pearson_interval,
     derive_seed,
@@ -201,6 +202,60 @@ class TestEpsilonEstimator:
             estimate_epsilon_lower_bound([1], [1])
 
 
+class TestBatchKeys:
+    def test_boolean_sequences_code_and_decode(self):
+        outputs = [[True], [False, True], [False, False], [], [np.bool_(True)],
+                   (0, 1, 1), [2, 0]]
+        keys = boolean_sequence_keys(outputs)
+        assert keys.codes.tolist() == [3, 6, 4, 1, 3, 14, 5]
+        assert [keys.decode(code) for code in keys.codes.tolist()] == [
+            tuple(bool(a) for a in answers) for answers in outputs
+        ]
+        assert len(keys) == 7 and keys[1:3].codes.tolist() == [6, 4]
+
+    def test_boolean_sequences_longer_than_62_rejected(self):
+        assert boolean_sequence_keys([[True] * 62]).decode(
+            int(boolean_sequence_keys([[True] * 62]).codes[0])
+        ) == (True,) * 62
+        with pytest.raises(ValidationError):
+            boolean_sequence_keys([[True] * 63])
+
+    def test_coded_keys_compare_only_with_coded_keys(self):
+        keys = boolean_sequence_keys([[True], [False]] * 4)
+        with pytest.raises(ValidationError):
+            estimate_epsilon_lower_bound(keys, [(True,), (False,)] * 4)
+        with pytest.raises(ValidationError):
+            estimate_epsilon_lower_bound(keys, keys, kind="binned")
+
+    def test_array_keys_must_be_one_or_two_dimensional(self):
+        with pytest.raises(ValidationError):
+            estimate_epsilon_lower_bound(np.zeros((8, 1, 2)), np.zeros((8, 1, 2)))
+        with pytest.raises(ValidationError):
+            estimate_epsilon_lower_bound(np.zeros(8), np.zeros((8, 2)))
+
+    def test_default_keys_of_list_batches(self):
+        """A numeric or boolean list batch keys as an array; any other list
+        batch keys as its own hashable outputs."""
+        from repro.testing.audit import _batch_keys
+
+        assert _batch_keys([1, 2, 3]).dtype.kind == "i"
+        assert _batch_keys([np.float64(0.5)] * 3).tolist() == [0.5] * 3
+        assert _batch_keys([[0.5, 1.0], [1.5, 2.0]]).shape == (2, 2)
+        for batch in (["a", "b"], [(1, "a"), (2, "b")], [[True], [False, True]],
+                      [None, None]):
+            assert _batch_keys(batch) is batch
+
+    def test_key_rows_label_as_tuples(self):
+        a = np.array([[0, 1]] * 30 + [[1, 1]] * 10)
+        b = np.array([[0, 1]] * 10 + [[1, 1]] * 30)
+        estimate = estimate_epsilon_lower_bound(a, b, kind="discrete")
+        assert estimate["per_event"][0]["event"] in ("{(0, 1)}", "{(1, 1)}")
+        assert estimate == estimate_epsilon_lower_bound(
+            [tuple(row) for row in a.tolist()], [tuple(row) for row in b.tolist()],
+            kind="discrete",
+        )
+
+
 class TestRegistryAndReports:
     def test_every_family_builds(self):
         for family in AUDIT_FAMILIES:
@@ -223,17 +278,20 @@ class TestRegistryAndReports:
         "family", ["randomized-response", "local-sampling", "langevin"]
     )
     def test_output_key_reads_the_first_coordinate(self, family):
-        """The key of each row of ``release_many(...).tolist()`` is its
-        first scalar, as a Python ``int``/``float``, for the families whose
-        outputs are arrays."""
+        """The keys of a ``release_many`` batch are its rows' first
+        scalars, one per output, in the batch's dtype, for the families
+        whose outputs are arrays; as Python scalars they are the old
+        per-row keys, a Python ``int``/``float`` each."""
         prepared = build_audit(family)
         batch = prepared.mechanism.release_many(
             prepared.pair.a, 50, random_state=4
         )
-        keys = [prepared.output_key(row) for row in batch.tolist()]
-        first = batch.reshape(len(batch), -1)[:, 0].tolist()
-        assert keys == first
-        assert {type(key) for key in keys} == {type(first[0])}
+        keys = prepared.output_key(batch)
+        first = batch.reshape(len(batch), -1)[:, 0]
+        assert keys.shape == (50,)
+        assert keys.dtype == batch.dtype
+        assert keys.tolist() == first.tolist()
+        assert {type(key) for key in keys.tolist()} == {type(first.tolist()[0])}
 
     def test_report_serializes_to_json(self):
         report = run_audit(

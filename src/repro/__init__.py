@@ -29,62 +29,56 @@ Quickstart::
     theta = learner.release(list(sample), random_state=0)
 """
 
-from repro.exceptions import (
-    ConvergenceError,
-    DPAuditError,
-    NotFittedError,
-    PrivacyBudgetError,
-    ReproError,
-    ValidationError,
-)
-from repro.distributions import DiscreteDistribution
-from repro.information import (
-    DiscreteChannel,
-    channel_capacity,
-    entropy,
-    kl_divergence,
-    mutual_information_from_joint,
-    rate_distortion,
-)
-from repro.mechanisms import (
-    ExponentialMechanism,
-    GaussianMechanism,
-    GeometricMechanism,
-    LaplaceMechanism,
-    Mechanism,
-    PrivacyAccountant,
-    PrivacySpec,
-    RandomizedResponse,
-)
-from repro.privacy import ExactPrivacyAuditor
-from repro.testing import StatisticalAuditReport, assert_dp, audit_mechanism
-from repro.learning import (
-    BernoulliTask,
-    GaussianThresholdTask,
-    LinearSVM,
-    LogisticRegressionModel,
-    PredictorGrid,
-    TwoGaussiansTask,
-)
-from repro.core import (
-    ContinuousGibbsPosterior,
-    GibbsEstimator,
-    GibbsPosterior,
-    LearningChannel,
-    catoni_bound,
-    evaluate_all_bounds,
-    mcallester_bound,
-    minimize_tradeoff,
-    seeger_bound,
-    tradeoff_curve,
-)
-from repro.private_learning import (
-    ExponentialMechanismLearner,
-    GibbsERMClassifier,
-    ObjectivePerturbationClassifier,
-    OutputPerturbationClassifier,
-    RegularizedExponentialMechanism,
-)
+from repro._lazy import attach as _attach
+
+_EXPORTS = {
+    "ConvergenceError": "repro.exceptions",
+    "DPAuditError": "repro.exceptions",
+    "NotFittedError": "repro.exceptions",
+    "PrivacyBudgetError": "repro.exceptions",
+    "ReproError": "repro.exceptions",
+    "ValidationError": "repro.exceptions",
+    "DiscreteDistribution": "repro.distributions.discrete",
+    "DiscreteChannel": "repro.information.channel",
+    "channel_capacity": "repro.information.blahut_arimoto",
+    "entropy": "repro.information.entropy",
+    "kl_divergence": "repro.information.divergences",
+    "mutual_information_from_joint": "repro.information.mutual_information",
+    "rate_distortion": "repro.information.blahut_arimoto",
+    "ExponentialMechanism": "repro.mechanisms.exponential",
+    "GaussianMechanism": "repro.mechanisms.gaussian",
+    "GeometricMechanism": "repro.mechanisms.geometric",
+    "LaplaceMechanism": "repro.mechanisms.laplace",
+    "Mechanism": "repro.mechanisms.base",
+    "PrivacyAccountant": "repro.mechanisms.accountant",
+    "PrivacySpec": "repro.mechanisms.base",
+    "RandomizedResponse": "repro.mechanisms.randomized_response",
+    "ExactPrivacyAuditor": "repro.privacy.audit",
+    "StatisticalAuditReport": "repro.testing.audit",
+    "assert_dp": "repro.testing.audit",
+    "audit_mechanism": "repro.testing.audit",
+    "BernoulliTask": "repro.learning.datasets",
+    "GaussianThresholdTask": "repro.learning.datasets",
+    "LinearSVM": "repro.learning.models",
+    "LogisticRegressionModel": "repro.learning.models",
+    "PredictorGrid": "repro.learning.erm",
+    "TwoGaussiansTask": "repro.learning.datasets",
+    "ContinuousGibbsPosterior": "repro.core.gibbs",
+    "GibbsEstimator": "repro.core.gibbs",
+    "GibbsPosterior": "repro.core.gibbs",
+    "LearningChannel": "repro.core.channel",
+    "catoni_bound": "repro.core.pac_bayes",
+    "evaluate_all_bounds": "repro.core.pac_bayes",
+    "mcallester_bound": "repro.core.pac_bayes",
+    "minimize_tradeoff": "repro.core.tradeoff",
+    "seeger_bound": "repro.core.pac_bayes",
+    "tradeoff_curve": "repro.core.tradeoff",
+    "ExponentialMechanismLearner": "repro.private_learning.exponential_learner",
+    "GibbsERMClassifier": "repro.private_learning.langevin",
+    "ObjectivePerturbationClassifier": "repro.private_learning.perturbation",
+    "OutputPerturbationClassifier": "repro.private_learning.perturbation",
+    "RegularizedExponentialMechanism": "repro.private_learning.langevin",
+}
 
 __version__ = "1.0.0"
 
@@ -137,3 +131,5 @@ __all__ = [
     "tradeoff_curve",
     "__version__",
 ]
+
+__getattr__, __dir__ = _attach(__name__, _EXPORTS)

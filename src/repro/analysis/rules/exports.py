@@ -5,6 +5,11 @@ check exactly the names exported there. A missing ``__all__`` makes
 ``from repro.mechanisms import *`` drag in submodules and helpers; a stale
 one either advertises names that do not exist (import-time breakage for
 consumers) or hides public objects from the audit surface.
+
+A package whose exports load lazily (:mod:`repro._lazy`) binds them in its
+literal ``_EXPORTS`` table rather than by import statements: the table's
+keys count as bound names, so each must be listed in ``__all__``, and a
+key given twice is a finding of its own.
 """
 
 from __future__ import annotations
@@ -43,6 +48,26 @@ def _literal_all(tree: ast.Module) -> tuple[ast.AST, list[str]] | None:
     return None
 
 
+def _lazy_exports(tree: ast.Module) -> tuple[ast.AST | None, list[str]]:
+    """The module's literal ``_EXPORTS`` table node and its keys, in order
+    and with repeats (``None`` and no keys without such a table)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in targets):
+            if isinstance(node.value, ast.Dict):
+                return node, [
+                    key.value
+                    for key in node.value.keys
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str)
+                ]
+    return None, []
+
+
 def _bound_names(tree: ast.Module) -> set[str]:
     """All names bound at module top level (defs, classes, imports,
     simple assignments)."""
@@ -73,8 +98,9 @@ class ExplicitExportsRule(Rule):
     id = "DPL005"
     name = "explicit-exports"
     description = (
-        "Every package __init__.py declares __all__, every entry is bound, "
-        "and every public imported/defined name is listed."
+        "Every package __init__.py declares __all__, every entry is bound "
+        "(by the module or its lazy _EXPORTS table), and every public "
+        "imported/defined/lazily exported name is listed."
     )
     rationale = (
         "__all__ is the audited privacy-review surface: stale entries break "
@@ -96,14 +122,15 @@ class ExplicitExportsRule(Rule):
             )
             return
         node, entries = found
-        bound = _bound_names(ctx.tree)
+        table, lazy = _lazy_exports(ctx.tree)
+        bound = _bound_names(ctx.tree) | set(lazy)
         public = {name for name in bound if public_name(name)}
         for phantom in sorted(set(entries) - bound):
             yield self.finding(
                 ctx,
                 node,
                 f"__all__ lists {phantom!r} which is not bound in this "
-                "module (stale export)",
+                "module nor in its _EXPORTS table (stale export)",
             )
         for hidden in sorted(public - set(entries) - {"annotations"}):
             yield self.finding(
@@ -116,4 +143,8 @@ class ExplicitExportsRule(Rule):
         for duplicate in sorted(duplicates):
             yield self.finding(
                 ctx, node, f"__all__ lists {duplicate!r} more than once"
+            )
+        for duplicate in sorted({key for key in lazy if lazy.count(key) > 1}):
+            yield self.finding(
+                ctx, table, f"_EXPORTS maps {duplicate!r} more than once"
             )

@@ -58,8 +58,6 @@ import itertools
 import sys
 from pathlib import Path
 
-import numpy as np
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -740,6 +738,8 @@ def _all_numbers(row: dict, *keys: str) -> bool:
 
 
 def _cmd_tradeoff(args) -> int:
+    import numpy as np
+
     from repro.core import tradeoff_curve
     from repro.experiments import ResultTable
     from repro.learning import BernoulliTask, PredictorGrid, empirical_risk_matrix

@@ -14,50 +14,42 @@ by E4 through the exact auditor (:class:`repro.privacy.ExactPrivacyAuditor`),
 Lemma 3.2 by E3 and Theorem 4.2 by E5.
 """
 
-from repro.core.gibbs import (
-    ContinuousGibbsPosterior,
-    GibbsEstimator,
-    GibbsPosterior,
-    privacy_of_temperature,
-    temperature_for_privacy,
-)
-from repro.core.pac_bayes import (
-    BoundReport,
-    catoni_bound,
-    catoni_bound_in_expectation,
-    catoni_objective,
-    evaluate_all_bounds,
-    gibbs_oracle_bound,
-    mcallester_bound,
-    minimize_catoni_bound,
-    seeger_bound,
-)
-from repro.core.tradeoff import (
-    TradeoffPoint,
-    TradeoffResult,
-    minimize_tradeoff,
-    tradeoff_curve,
-    tradeoff_objective,
-)
-from repro.core.channel import LearningChannel
-from repro.core.bayes import (
-    TruncatedBetaBernoulliPosterior,
-    posterior_sampling_privacy,
-    temperature_for_posterior_privacy,
-)
-from repro.core.information_risk import (
-    exact_generalization_gap,
-    generalization_report,
-    mutual_information_generalization_bound,
-    privacy_generalization_bound,
-)
-from repro.core.model_selection import (
-    PrivateSelectionRelease,
-    TemperatureSelection,
-    private_gibbs_with_selection,
-    select_temperature_by_bound,
-    select_temperature_private,
-)
+from repro._lazy import attach as _attach
+
+_EXPORTS = {
+    "ContinuousGibbsPosterior": "repro.core.gibbs",
+    "GibbsEstimator": "repro.core.gibbs",
+    "GibbsPosterior": "repro.core.gibbs",
+    "privacy_of_temperature": "repro.core.gibbs",
+    "temperature_for_privacy": "repro.core.gibbs",
+    "BoundReport": "repro.core.pac_bayes",
+    "catoni_bound": "repro.core.pac_bayes",
+    "catoni_bound_in_expectation": "repro.core.pac_bayes",
+    "catoni_objective": "repro.core.pac_bayes",
+    "evaluate_all_bounds": "repro.core.pac_bayes",
+    "gibbs_oracle_bound": "repro.core.pac_bayes",
+    "mcallester_bound": "repro.core.pac_bayes",
+    "minimize_catoni_bound": "repro.core.pac_bayes",
+    "seeger_bound": "repro.core.pac_bayes",
+    "TradeoffPoint": "repro.core.tradeoff",
+    "TradeoffResult": "repro.core.tradeoff",
+    "minimize_tradeoff": "repro.core.tradeoff",
+    "tradeoff_curve": "repro.core.tradeoff",
+    "tradeoff_objective": "repro.core.tradeoff",
+    "LearningChannel": "repro.core.channel",
+    "TruncatedBetaBernoulliPosterior": "repro.core.bayes",
+    "posterior_sampling_privacy": "repro.core.bayes",
+    "temperature_for_posterior_privacy": "repro.core.bayes",
+    "exact_generalization_gap": "repro.core.information_risk",
+    "generalization_report": "repro.core.information_risk",
+    "mutual_information_generalization_bound": "repro.core.information_risk",
+    "privacy_generalization_bound": "repro.core.information_risk",
+    "PrivateSelectionRelease": "repro.core.model_selection",
+    "TemperatureSelection": "repro.core.model_selection",
+    "private_gibbs_with_selection": "repro.core.model_selection",
+    "select_temperature_by_bound": "repro.core.model_selection",
+    "select_temperature_private": "repro.core.model_selection",
+}
 
 __all__ = [
     "BoundReport",
@@ -93,3 +85,5 @@ __all__ = [
     "tradeoff_curve",
     "tradeoff_objective",
 ]
+
+__getattr__, __dir__ = _attach(__name__, _EXPORTS)

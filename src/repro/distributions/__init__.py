@@ -6,22 +6,22 @@ back the Laplace/Gaussian/vector mechanisms; the samplers make the Gibbs
 posterior usable over continuous parameter spaces.
 """
 
-from repro.distributions.discrete import DiscreteDistribution
-from repro.distributions.continuous import (
-    CauchyNoise,
-    GammaNormVector,
-    GaussianNoise,
-    GumbelNoise,
-    LaplaceNoise,
-    NoiseDistribution,
-)
-from repro.distributions.sampling import (
-    BatchedLangevinSampler,
-    LangevinResult,
-    MetropolisHastingsSampler,
-    inverse_cdf_sample,
-    log_acceptance_ratio,
-)
+from repro._lazy import attach as _attach
+
+_EXPORTS = {
+    "DiscreteDistribution": "repro.distributions.discrete",
+    "CauchyNoise": "repro.distributions.continuous",
+    "GammaNormVector": "repro.distributions.continuous",
+    "GaussianNoise": "repro.distributions.continuous",
+    "GumbelNoise": "repro.distributions.continuous",
+    "LaplaceNoise": "repro.distributions.continuous",
+    "NoiseDistribution": "repro.distributions.continuous",
+    "BatchedLangevinSampler": "repro.distributions.sampling",
+    "LangevinResult": "repro.distributions.sampling",
+    "MetropolisHastingsSampler": "repro.distributions.sampling",
+    "inverse_cdf_sample": "repro.distributions.sampling",
+    "log_acceptance_ratio": "repro.distributions.sampling",
+}
 
 __all__ = [
     "BatchedLangevinSampler",
@@ -37,3 +37,5 @@ __all__ = [
     "inverse_cdf_sample",
     "log_acceptance_ratio",
 ]
+
+__getattr__, __dir__ = _attach(__name__, _EXPORTS)

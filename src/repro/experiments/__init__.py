@@ -9,28 +9,30 @@ goes on, and writes machine-readable ``BENCH_<id>.json`` manifests (see
 docs/BENCHMARKS.md).
 """
 
-from repro.experiments.cache import ResultCache, canonical_parameters, code_digest
-from repro.experiments.engine import (
-    BenchmarkEngine,
-    BenchSpec,
-    load_bench_spec,
-    select_experiments,
-)
-from repro.experiments.manifest import (
-    BENCH_SCHEMA_VERSION,
-    ConfigurationRecord,
-    RunManifest,
-    load_manifest,
-)
-from repro.experiments.plotting import ascii_curve
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    Experiment,
-    experiment_span,
-    get_experiment,
-)
-from repro.experiments.runner import expand_grid, reseed, run_configurations
-from repro.experiments.tables import ResultTable
+from repro._lazy import attach as _attach
+
+_EXPORTS = {
+    "ResultCache": "repro.experiments.cache",
+    "canonical_parameters": "repro.experiments.cache",
+    "code_digest": "repro.experiments.cache",
+    "BenchmarkEngine": "repro.experiments.engine",
+    "BenchSpec": "repro.experiments.engine",
+    "load_bench_spec": "repro.experiments.engine",
+    "select_experiments": "repro.experiments.engine",
+    "BENCH_SCHEMA_VERSION": "repro.experiments.manifest",
+    "ConfigurationRecord": "repro.experiments.manifest",
+    "RunManifest": "repro.experiments.manifest",
+    "load_manifest": "repro.experiments.manifest",
+    "ascii_curve": "repro.experiments.plotting",
+    "EXPERIMENTS": "repro.experiments.registry",
+    "Experiment": "repro.experiments.registry",
+    "experiment_span": "repro.experiments.registry",
+    "get_experiment": "repro.experiments.registry",
+    "expand_grid": "repro.experiments.runner",
+    "reseed": "repro.experiments.runner",
+    "run_configurations": "repro.experiments.runner",
+    "ResultTable": "repro.experiments.tables",
+}
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -54,3 +56,5 @@ __all__ = [
     "run_configurations",
     "select_experiments",
 ]
+
+__getattr__, __dir__ = _attach(__name__, _EXPORTS)

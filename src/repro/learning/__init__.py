@@ -6,52 +6,42 @@ Input space X, optional output space Y, predictor space Θ, loss
 synthetic data sources the experiments learn on.
 """
 
-from repro.learning.losses import (
-    AbsoluteLoss,
-    HingeLoss,
-    HuberHingeLoss,
-    LogisticLoss,
-    MarginLoss,
-    RegressionLoss,
-    SquaredLoss,
-    TruncatedLoss,
-    ZeroOneLoss,
-)
-from repro.learning.datasets import (
-    BernoulliTask,
-    GaussianThresholdTask,
-    LinearRegressionTask,
-    SyntheticTask,
-    TwoGaussiansTask,
-)
-from repro.learning.optimize import (
-    OptimizeResult,
-    gradient_descent,
-    newton_method,
-)
-from repro.learning.models import (
-    LinearSVM,
-    LogisticRegressionModel,
-    RidgeRegressionModel,
-)
-from repro.learning.evaluation import (
-    ConfusionMatrix,
-    auc,
-    roc_points,
-    train_test_split,
-)
-from repro.learning.preprocessing import (
-    PublicScaler,
-    clip_to_unit_ball,
-    clip_values,
-    symmetrize_labels,
-)
-from repro.learning.erm import (
-    PredictorGrid,
-    empirical_risk,
-    empirical_risk_matrix,
-    erm_minimizer,
-)
+from repro._lazy import attach as _attach
+
+_EXPORTS = {
+    "AbsoluteLoss": "repro.learning.losses",
+    "HingeLoss": "repro.learning.losses",
+    "HuberHingeLoss": "repro.learning.losses",
+    "LogisticLoss": "repro.learning.losses",
+    "MarginLoss": "repro.learning.losses",
+    "RegressionLoss": "repro.learning.losses",
+    "SquaredLoss": "repro.learning.losses",
+    "TruncatedLoss": "repro.learning.losses",
+    "ZeroOneLoss": "repro.learning.losses",
+    "BernoulliTask": "repro.learning.datasets",
+    "GaussianThresholdTask": "repro.learning.datasets",
+    "LinearRegressionTask": "repro.learning.datasets",
+    "SyntheticTask": "repro.learning.datasets",
+    "TwoGaussiansTask": "repro.learning.datasets",
+    "OptimizeResult": "repro.learning.optimize",
+    "gradient_descent": "repro.learning.optimize",
+    "newton_method": "repro.learning.optimize",
+    "LinearSVM": "repro.learning.models",
+    "LogisticRegressionModel": "repro.learning.models",
+    "RidgeRegressionModel": "repro.learning.models",
+    "ConfusionMatrix": "repro.learning.evaluation",
+    "auc": "repro.learning.evaluation",
+    "roc_points": "repro.learning.evaluation",
+    "train_test_split": "repro.learning.evaluation",
+    "PublicScaler": "repro.learning.preprocessing",
+    "clip_to_unit_ball": "repro.learning.preprocessing",
+    "clip_values": "repro.learning.preprocessing",
+    "symmetrize_labels": "repro.learning.preprocessing",
+    "PredictorGrid": "repro.learning.erm",
+    "empirical_risk": "repro.learning.erm",
+    "empirical_risk_matrix": "repro.learning.erm",
+    "erm_minimizer": "repro.learning.erm",
+}
 
 __all__ = [
     "AbsoluteLoss",
@@ -87,3 +77,5 @@ __all__ = [
     "symmetrize_labels",
     "train_test_split",
 ]
+
+__getattr__, __dir__ = _attach(__name__, _EXPORTS)

@@ -24,28 +24,26 @@ See ``docs/LOCAL_PRIVACY.md`` for the mechanism catalog and the
 minimax-rate background.
 """
 
-from repro.local_privacy.estimation import (
-    central_private_mean,
-    central_private_rate,
-    dpi_report,
-    local_minimax_rate,
-    locally_private_mean,
-    locally_private_median,
-    nonprivate_rate,
-)
-from repro.local_privacy.mechanisms import (
-    L2SamplingMechanism,
-    LInfSamplingMechanism,
-    hypercube_unbiasing_constant,
-    sphere_unbiasing_constant,
-)
-from repro.local_privacy.sgd import PrivateSGDClassifier
-from repro.privacy.local import (
-    KRandomizedResponse,
-    LocalMechanism,
-    UnaryEncoding,
-    clip_and_renormalize,
-)
+from repro._lazy import attach as _attach
+
+_EXPORTS = {
+    "central_private_mean": "repro.local_privacy.estimation",
+    "central_private_rate": "repro.local_privacy.estimation",
+    "dpi_report": "repro.local_privacy.estimation",
+    "local_minimax_rate": "repro.local_privacy.estimation",
+    "locally_private_mean": "repro.local_privacy.estimation",
+    "locally_private_median": "repro.local_privacy.estimation",
+    "nonprivate_rate": "repro.local_privacy.estimation",
+    "L2SamplingMechanism": "repro.local_privacy.mechanisms",
+    "LInfSamplingMechanism": "repro.local_privacy.mechanisms",
+    "hypercube_unbiasing_constant": "repro.local_privacy.mechanisms",
+    "sphere_unbiasing_constant": "repro.local_privacy.mechanisms",
+    "PrivateSGDClassifier": "repro.local_privacy.sgd",
+    "KRandomizedResponse": "repro.privacy.local",
+    "LocalMechanism": "repro.privacy.local",
+    "UnaryEncoding": "repro.privacy.local",
+    "clip_and_renormalize": "repro.privacy.local",
+}
 
 __all__ = [
     "KRandomizedResponse",
@@ -65,3 +63,5 @@ __all__ = [
     "nonprivate_rate",
     "sphere_unbiasing_constant",
 ]
+
+__getattr__, __dir__ = _attach(__name__, _EXPORTS)

@@ -7,26 +7,32 @@ importantly for the paper — the exponential mechanism of McSherry & Talwar,
 of which the Gibbs estimator is the learning-theoretic instance.
 """
 
-from repro.mechanisms.base import Mechanism, PrivacySpec
-from repro.mechanisms.laplace import LaplaceMechanism
-from repro.mechanisms.geometric import GeometricMechanism
-from repro.mechanisms.gaussian import GaussianMechanism
-from repro.mechanisms.exponential import ExponentialMechanism
-from repro.mechanisms.randomized_response import RandomizedResponse
-from repro.mechanisms.vector import VectorLaplaceMechanism
-from repro.mechanisms.noisy_max import ReportNoisyMax
-from repro.mechanisms.sparse_vector import SparseVector, above_threshold
-from repro.mechanisms.smooth_sensitivity import SmoothSensitivityMedian
-from repro.mechanisms.histogram import LinearQueryWorkload, PrivateHistogram
-from repro.mechanisms.continual import NaivePrefixRelease, TreeAggregator
-from repro.mechanisms.quantile import ExponentialQuantile
-from repro.mechanisms.sensitivity import empirical_risk_sensitivity
-from repro.mechanisms.composition import (
-    advanced_composition,
-    parallel_composition,
-    sequential_composition,
-)
-from repro.mechanisms.accountant import PrivacyAccountant
+from repro._lazy import attach as _attach
+
+_EXPORTS = {
+    "Mechanism": "repro.mechanisms.base",
+    "PrivacySpec": "repro.mechanisms.base",
+    "LaplaceMechanism": "repro.mechanisms.laplace",
+    "GeometricMechanism": "repro.mechanisms.geometric",
+    "GaussianMechanism": "repro.mechanisms.gaussian",
+    "ExponentialMechanism": "repro.mechanisms.exponential",
+    "RandomizedResponse": "repro.mechanisms.randomized_response",
+    "VectorLaplaceMechanism": "repro.mechanisms.vector",
+    "ReportNoisyMax": "repro.mechanisms.noisy_max",
+    "SparseVector": "repro.mechanisms.sparse_vector",
+    "above_threshold": "repro.mechanisms.sparse_vector",
+    "SmoothSensitivityMedian": "repro.mechanisms.smooth_sensitivity",
+    "LinearQueryWorkload": "repro.mechanisms.histogram",
+    "PrivateHistogram": "repro.mechanisms.histogram",
+    "NaivePrefixRelease": "repro.mechanisms.continual",
+    "TreeAggregator": "repro.mechanisms.continual",
+    "ExponentialQuantile": "repro.mechanisms.quantile",
+    "empirical_risk_sensitivity": "repro.mechanisms.sensitivity",
+    "advanced_composition": "repro.mechanisms.composition",
+    "parallel_composition": "repro.mechanisms.composition",
+    "sequential_composition": "repro.mechanisms.composition",
+    "PrivacyAccountant": "repro.mechanisms.accountant",
+}
 
 __all__ = [
     "ExponentialMechanism",
@@ -52,3 +58,5 @@ __all__ = [
     "parallel_composition",
     "sequential_composition",
 ]
+
+__getattr__, __dir__ = _attach(__name__, _EXPORTS)

@@ -46,9 +46,10 @@ from repro.observability.events import (
 BUDGET_RTOL = 1e-12
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerEntry:
-    """One recorded privacy expenditure."""
+    """One recorded privacy expenditure (slotted: a long-running service
+    keeps one per charge)."""
 
     label: str
     spec: PrivacySpec

@@ -20,33 +20,33 @@ it on with the :func:`tracing` context manager, or from the CLI via
 ``repro trace``. Schema and overhead notes: ``docs/OBSERVABILITY.md``.
 """
 
-from repro.observability.events import (
-    BudgetChargeEvent,
-    BudgetRefundEvent,
-    BudgetRefusalEvent,
-    CalibrationEvent,
-    LedgerEvent,
-    MechanismReleaseEvent,
-    event_from_dict,
-    ledger_totals,
-)
-from repro.observability.export import (
-    load_trace,
-    render_trace,
-    validate_trace,
-    write_trace,
-)
-from repro.observability.metrics import HistogramSummary, MetricSet
-from repro.observability.sinks import ConsoleSink, FileSink
-from repro.observability.tracer import (
-    TRACE_SCHEMA_VERSION,
-    SpanRecord,
-    Tracer,
-    activate,
-    current,
-    deactivate,
-    tracing,
-)
+from repro._lazy import attach as _attach
+
+_EXPORTS = {
+    "BudgetChargeEvent": "repro.observability.events",
+    "BudgetRefundEvent": "repro.observability.events",
+    "BudgetRefusalEvent": "repro.observability.events",
+    "CalibrationEvent": "repro.observability.events",
+    "LedgerEvent": "repro.observability.events",
+    "MechanismReleaseEvent": "repro.observability.events",
+    "event_from_dict": "repro.observability.events",
+    "ledger_totals": "repro.observability.events",
+    "load_trace": "repro.observability.export",
+    "render_trace": "repro.observability.export",
+    "validate_trace": "repro.observability.export",
+    "write_trace": "repro.observability.export",
+    "HistogramSummary": "repro.observability.metrics",
+    "MetricSet": "repro.observability.metrics",
+    "ConsoleSink": "repro.observability.sinks",
+    "FileSink": "repro.observability.sinks",
+    "TRACE_SCHEMA_VERSION": "repro.observability.tracer",
+    "SpanRecord": "repro.observability.tracer",
+    "Tracer": "repro.observability.tracer",
+    "activate": "repro.observability.tracer",
+    "current": "repro.observability.tracer",
+    "deactivate": "repro.observability.tracer",
+    "tracing": "repro.observability.tracer",
+}
 
 __all__ = [
     "BudgetChargeEvent",
@@ -73,3 +73,5 @@ __all__ = [
     "validate_trace",
     "write_trace",
 ]
+
+__getattr__, __dir__ = _attach(__name__, _EXPORTS)

@@ -7,30 +7,24 @@ motivation (refs 5, 6): output perturbation and objective perturbation for
 L2-regularized linear classifiers.
 """
 
-from repro.private_learning.perturbation import (
-    ObjectivePerturbationClassifier,
-    OutputPerturbationClassifier,
-    erm_argmin_sensitivity,
-)
-from repro.private_learning.exponential_learner import (
-    ExponentialMechanismLearner,
-    direction_grid,
-)
-from repro.private_learning.langevin import (
-    GibbsERMClassifier,
-    RegularizedExponentialMechanism,
-)
-from repro.private_learning.regression import (
-    GibbsRidgeRegression,
-    SufficientStatisticsRidge,
-    coefficient_grid,
-)
-from repro.private_learning.density import (
-    GibbsDensityEstimator,
-    LaplaceHistogramDensity,
-    beta_shape_family,
-    discretize_density,
-)
+from repro._lazy import attach as _attach
+
+_EXPORTS = {
+    "ObjectivePerturbationClassifier": "repro.private_learning.perturbation",
+    "OutputPerturbationClassifier": "repro.private_learning.perturbation",
+    "erm_argmin_sensitivity": "repro.private_learning.perturbation",
+    "ExponentialMechanismLearner": "repro.private_learning.exponential_learner",
+    "direction_grid": "repro.private_learning.exponential_learner",
+    "GibbsERMClassifier": "repro.private_learning.langevin",
+    "RegularizedExponentialMechanism": "repro.private_learning.langevin",
+    "GibbsRidgeRegression": "repro.private_learning.regression",
+    "SufficientStatisticsRidge": "repro.private_learning.regression",
+    "coefficient_grid": "repro.private_learning.regression",
+    "GibbsDensityEstimator": "repro.private_learning.density",
+    "LaplaceHistogramDensity": "repro.private_learning.density",
+    "beta_shape_family": "repro.private_learning.density",
+    "discretize_density": "repro.private_learning.density",
+}
 
 __all__ = [
     "ExponentialMechanismLearner",
@@ -48,3 +42,5 @@ __all__ = [
     "discretize_density",
     "erm_argmin_sensitivity",
 ]
+
+__getattr__, __dir__ = _attach(__name__, _EXPORTS)

@@ -16,18 +16,24 @@ reports. Entry points: ``repro serve`` (live demo) and
 ``repro loadtest`` (deterministic harness). See ``docs/SERVING.md``.
 """
 
-from repro.serving.clock import Clock, SimulatedClock, SystemClock
-from repro.serving.loadtest import (
-    LOADTEST_SCHEMA_VERSION,
-    LoadTestSpec,
-    deterministic_view,
-    measure_speedup,
-    run_loadtest,
-    validate_report,
-    write_report,
-)
-from repro.serving.service import ReleaseService, ServiceConfig
-from repro.serving.tenants import Tenant, TenantRegistry
+from repro._lazy import attach as _attach
+
+_EXPORTS = {
+    "Clock": "repro.serving.clock",
+    "SimulatedClock": "repro.serving.clock",
+    "SystemClock": "repro.serving.clock",
+    "LOADTEST_SCHEMA_VERSION": "repro.serving.loadtest",
+    "LoadTestSpec": "repro.serving.loadtest",
+    "deterministic_view": "repro.serving.loadtest",
+    "measure_speedup": "repro.serving.loadtest",
+    "run_loadtest": "repro.serving.loadtest",
+    "validate_report": "repro.serving.loadtest",
+    "write_report": "repro.serving.loadtest",
+    "ReleaseService": "repro.serving.service",
+    "ServiceConfig": "repro.serving.service",
+    "Tenant": "repro.serving.tenants",
+    "TenantRegistry": "repro.serving.tenants",
+}
 
 __all__ = [
     "Clock",
@@ -45,3 +51,5 @@ __all__ = [
     "validate_report",
     "write_report",
 ]
+
+__getattr__, __dir__ = _attach(__name__, _EXPORTS)

@@ -149,6 +149,9 @@ class ReleaseService:
         self.clock = clock if clock is not None else SystemClock()
         self.config = config if config is not None else ServiceConfig()
         self._mechanisms: dict[str, Mechanism] = {}
+        # One ledger label per (tenant, mechanism), shared by every charge
+        # and refund of that pair: the ledger keeps an entry per request.
+        self._labels: dict[tuple[str, str], str] = {}
         self._open: dict[tuple, _Batch] = {}
         self._inflight: set[asyncio.Task] = set()
         self._batch_count = 0
@@ -209,7 +212,10 @@ class ReleaseService:
         # A single release costs exactly the mechanism's own spec (x * 1
         # is x), already validated; only n > 1 needs a new one.
         cost = spec if n == 1 else PrivacySpec(spec.epsilon * n, spec.delta * n)
-        label = f"serve:{tenant_id}:{mechanism_id}"
+        label = self._labels.get((tenant_id, mechanism_id))
+        if label is None:
+            label = f"serve:{tenant_id}:{mechanism_id}"
+            self._labels[tenant_id, mechanism_id] = label
         # Admission control: reserve before anything executes. Refusals
         # raise out of here with one ledger refusal event already emitted.
         tenant.accountant.charge(cost, label=label)

@@ -19,34 +19,30 @@ This package turns those statements into executable audits:
 See ``docs/TESTING.md`` for the tier layout and how to write an audit.
 """
 
-from repro.testing.audit import (
-    CodedKeys,
-    StatisticalAuditReport,
-    assert_dp,
-    audit_mechanism,
-    boolean_sequence_keys,
-    clopper_pearson_interval,
-    estimate_epsilon_lower_bound,
-)
-from repro.testing.neighbors import (
-    NeighborPair,
-    bit_flip_pair,
-    extreme_record_pair,
-    score_gap_pair,
-    substitution_pairs,
-)
-from repro.testing.registry import (
-    AUDIT_FAMILIES,
-    PreparedAudit,
-    build_audit,
-    run_audit,
-)
-from repro.testing.statistical import (
-    BASE_SEED,
-    DEFAULT_POLICY,
-    StatisticalPolicy,
-    derive_seed,
-)
+from repro._lazy import attach as _attach
+
+_EXPORTS = {
+    "CodedKeys": "repro.testing.audit",
+    "StatisticalAuditReport": "repro.testing.audit",
+    "assert_dp": "repro.testing.audit",
+    "audit_mechanism": "repro.testing.audit",
+    "boolean_sequence_keys": "repro.testing.audit",
+    "clopper_pearson_interval": "repro.testing.audit",
+    "estimate_epsilon_lower_bound": "repro.testing.audit",
+    "NeighborPair": "repro.testing.neighbors",
+    "bit_flip_pair": "repro.testing.neighbors",
+    "extreme_record_pair": "repro.testing.neighbors",
+    "score_gap_pair": "repro.testing.neighbors",
+    "substitution_pairs": "repro.testing.neighbors",
+    "AUDIT_FAMILIES": "repro.testing.registry",
+    "PreparedAudit": "repro.testing.registry",
+    "build_audit": "repro.testing.registry",
+    "run_audit": "repro.testing.registry",
+    "BASE_SEED": "repro.testing.statistical",
+    "DEFAULT_POLICY": "repro.testing.statistical",
+    "StatisticalPolicy": "repro.testing.statistical",
+    "derive_seed": "repro.testing.statistical",
+}
 
 __all__ = [
     "AUDIT_FAMILIES",
@@ -70,3 +66,5 @@ __all__ = [
     "score_gap_pair",
     "substitution_pairs",
 ]
+
+__getattr__, __dir__ = _attach(__name__, _EXPORTS)

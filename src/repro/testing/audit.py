@@ -84,19 +84,38 @@ def clopper_pearson_interval(
     if not 0 <= k <= n:
         raise ValidationError("successes must lie in [0, trials]")
     confidence = check_confidence(confidence, name="confidence")
+    low, high = _clopper_pearson_endpoints(np.array([k]), n, confidence, method)
+    return (float(low[0]), float(high[0]))
+
+
+def _clopper_pearson_endpoints(
+    successes: np.ndarray, trials: int, confidence: float, method: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`clopper_pearson_interval` over a vector of counts, unchecked.
+
+    The ``"beta"`` endpoints of every count come from one ``betaincinv``
+    call. It is an elementwise ufunc, so each endpoint has the same bits
+    as a scalar call on that count.
+    """
+    k = np.asarray(successes)
     alpha = 1.0 - confidence
     if method in ("auto", "beta"):
         from scipy.special import betaincinv
 
-        low = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
-        high = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
+        ends = betaincinv(
+            np.concatenate((k, k + 1)),
+            np.concatenate((trials - k + 1, trials - k)),
+            np.repeat((alpha / 2, 1 - alpha / 2), len(k)),
+        )
+        low = np.where(k == 0, 0.0, ends[: len(k)])
+        high = np.where(k == trials, 1.0, ends[len(k):])
     elif method == "hoeffding":
-        width = math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
-        low = max(0.0, k / n - width)
-        high = min(1.0, k / n + width)
+        width = math.sqrt(math.log(2.0 / alpha) / (2.0 * trials))
+        low = np.maximum(0.0, k / trials - width)
+        high = np.minimum(1.0, k / trials + width)
     else:
         raise ValidationError(f"unknown method {method!r}")
-    return (low, high)
+    return low, high
 
 
 @dataclass
@@ -462,7 +481,7 @@ def estimate_epsilon_lower_bound(
     max_events:
         Cap on atom events for discrete audits.
     method:
-        Interval method forwarded to :func:`clopper_pearson_interval`.
+        Interval method, as for :func:`clopper_pearson_interval`.
     """
     confidence = check_confidence(confidence, name="confidence")
     keys_a, keys_b = _as_keys(outputs_a, outputs_b)
@@ -486,13 +505,16 @@ def estimate_epsilon_lower_bound(
     best_label = "(none)"
     point = 0.0
     rows = []
-    for label, k_a, k_b in zip(labels, counts_a, counts_b):
-        low_a, high_a = clopper_pearson_interval(
-            int(k_a), n_test, confidence=per_comparison_confidence, method=method
-        )
-        low_b, high_b = clopper_pearson_interval(
-            int(k_b), n_test, confidence=per_comparison_confidence, method=method
-        )
+    lows_a, highs_a = _clopper_pearson_endpoints(
+        counts_a, n_test, per_comparison_confidence, method
+    )
+    lows_b, highs_b = _clopper_pearson_endpoints(
+        counts_b, n_test, per_comparison_confidence, method
+    )
+    for label, k_a, k_b, low_a, high_a, low_b, high_b in zip(
+        labels, counts_a, counts_b,
+        lows_a.tolist(), highs_a.tolist(), lows_b.tolist(), highs_b.tolist(),
+    ):
         bounds = []
         if low_a > 0 and high_b > 0:
             bounds.append(math.log(low_a / high_b))

@@ -10,6 +10,10 @@ Every builder accepts ``noise_scale``: at 1.0 the mechanism is built
 exactly as shipped; below 1.0 its noise is deliberately shrunk (a sabotage
 knob) so tests and demos can confirm the audit harness actually rejects a
 mis-calibrated implementation rather than passing everything.
+
+Each builder imports its own family's mechanism, so importing the registry
+(as ``repro audit`` and the benchmark's serving processes do) loads no
+mechanism family, learner or Gibbs estimator until that family is built.
 """
 
 from __future__ import annotations
@@ -19,20 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.gibbs import GibbsEstimator
-from repro.distributions.continuous import GumbelNoise, LaplaceNoise
 from repro.exceptions import ValidationError
-from repro.learning import BernoulliTask, PredictorGrid
-from repro.learning.losses import LogisticLoss, TruncatedLoss
-from repro.mechanisms import (
-    ExponentialMechanism,
-    GeometricMechanism,
-    LaplaceMechanism,
-    Mechanism,
-    RandomizedResponse,
-    ReportNoisyMax,
-    SparseVector,
-)
+from repro.mechanisms.base import Mechanism
 from repro.testing.audit import (
     StatisticalAuditReport,
     audit_mechanism,
@@ -107,6 +99,9 @@ def _match_quality(dataset, candidate):
 
 
 def _laplace(epsilon: float, n: int, noise_scale: float) -> PreparedAudit:
+    from repro.distributions.continuous import LaplaceNoise
+    from repro.mechanisms.laplace import LaplaceMechanism
+
     mechanism = LaplaceMechanism(_sum_query, 1.0, epsilon)
     if noise_scale != 1.0:
         mechanism.noise = LaplaceNoise(scale=mechanism.noise.scale * noise_scale)
@@ -121,6 +116,8 @@ def _laplace(epsilon: float, n: int, noise_scale: float) -> PreparedAudit:
 
 
 def _geometric(epsilon: float, n: int, noise_scale: float) -> PreparedAudit:
+    from repro.mechanisms.geometric import GeometricMechanism
+
     mechanism = GeometricMechanism(_count_query, 1.0, epsilon)
     if noise_scale != 1.0:
         mechanism.alpha = float(mechanism.alpha ** (1.0 / noise_scale))
@@ -137,6 +134,8 @@ def _geometric(epsilon: float, n: int, noise_scale: float) -> PreparedAudit:
 def _randomized_response(
     epsilon: float, n: int, noise_scale: float
 ) -> PreparedAudit:
+    from repro.mechanisms.randomized_response import RandomizedResponse
+
     mechanism = RandomizedResponse(epsilon)
     if noise_scale != 1.0:
         boosted = epsilon / noise_scale
@@ -156,6 +155,8 @@ def _randomized_response(
 def _exponential(
     epsilon: float, n: int, noise_scale: float, *, calibrated: bool = True
 ) -> PreparedAudit:
+    from repro.mechanisms.exponential import ExponentialMechanism
+
     mechanism = ExponentialMechanism(
         _match_quality, (0, 1), 1.0, epsilon, calibrated=calibrated
     )
@@ -184,6 +185,9 @@ def _exponential_paper(
 
 
 def _noisy_max(epsilon: float, n: int, noise_scale: float) -> PreparedAudit:
+    from repro.distributions.continuous import GumbelNoise
+    from repro.mechanisms.noisy_max import ReportNoisyMax
+
     mechanism = ReportNoisyMax(_match_quality, (0, 1), 1.0, epsilon)
     if noise_scale != 1.0:
         mechanism.noise = GumbelNoise(scale=mechanism.noise.scale * noise_scale)
@@ -198,6 +202,9 @@ def _noisy_max(epsilon: float, n: int, noise_scale: float) -> PreparedAudit:
 
 
 def _sparse_vector(epsilon: float, n: int, noise_scale: float) -> PreparedAudit:
+    from repro.distributions.continuous import LaplaceNoise
+    from repro.mechanisms.sparse_vector import SparseVector
+
     mechanism = SparseVector(0.5, 1.0, epsilon, max_positives=1)
     if noise_scale != 1.0:
         mechanism._threshold_noise = LaplaceNoise(
@@ -223,6 +230,10 @@ def _sparse_vector(epsilon: float, n: int, noise_scale: float) -> PreparedAudit:
 
 
 def _gibbs(epsilon: float, n: int, noise_scale: float) -> PreparedAudit:
+    from repro.core.gibbs import GibbsEstimator
+    from repro.learning.datasets import BernoulliTask
+    from repro.learning.erm import PredictorGrid
+
     task = BernoulliTask(p=0.7)
     grid = PredictorGrid.linspace(task.loss, 0.0, 1.0, 5)
     mechanism = GibbsEstimator.from_privacy(grid, epsilon, expected_sample_size=n)
@@ -288,6 +299,7 @@ def _local_sampling(epsilon: float, n: int, noise_scale: float) -> PreparedAudit
 
 
 def _langevin(epsilon: float, n: int, noise_scale: float) -> PreparedAudit:
+    from repro.learning.losses import LogisticLoss, TruncatedLoss
     from repro.private_learning.langevin import RegularizedExponentialMechanism
 
     loss = TruncatedLoss(LogisticLoss(), ceiling=1.0)

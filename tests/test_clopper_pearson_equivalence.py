@@ -9,7 +9,10 @@ Two sets of inputs pin the swap to the last bit (``float.hex``):
   0 to n (both endpoints included) and confidences up to 1 − 1e-9;
 * every ``(k, n, confidence)`` that one ``repro audit`` run asks for, at
   12 000 and at 50 000 samples, with the Bonferroni-split confidences of
-  ``estimate_epsilon_lower_bound``.
+  ``estimate_epsilon_lower_bound``. The estimator computes each side's
+  endpoints in one vectorized ``betaincinv`` call; the test records the
+  count vectors that call receives and the endpoints it returns, and
+  pins each endpoint against the scalar ``beta.ppf`` reference.
 
 The same audit runs pin every family's report to its digest from before
 the swap, so no verdict or certified ε moved.
@@ -21,6 +24,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -107,19 +111,23 @@ def test_seeded_sweep_matches_beta_ppf_bit_for_bit():
 
 @pytest.fixture(scope="module")
 def audit_runs() -> dict:
-    """Per sample size: the recorded ``(k, n, confidence)`` calls and the
-    JSON payload of one ``repro audit --format json`` run."""
+    """Per sample size: every ``(k, n, confidence)`` the vectorized
+    endpoint calls received, each with the endpoints they returned, and
+    the JSON payload of one ``repro audit --format json`` run."""
     runs = {}
-    original = audit_module.clopper_pearson_interval
+    original = audit_module._clopper_pearson_endpoints
     with pytest.MonkeyPatch.context() as patch:
         for samples in AUDIT_DIGESTS:
             calls = []
 
-            def recording(successes, trials, **options):
-                calls.append((successes, trials, options["confidence"]))
-                return original(successes, trials, **options)
+            def recording(successes, trials, confidence, method):
+                low, high = original(successes, trials, confidence, method)
+                for k, got in zip(np.asarray(successes).tolist(),
+                                  zip(low.tolist(), high.tolist())):
+                    calls.append(((k, trials, confidence), got))
+                return low, high
 
-            patch.setattr(audit_module, "clopper_pearson_interval", recording)
+            patch.setattr(audit_module, "_clopper_pearson_endpoints", recording)
             runs[samples] = (calls, _run_audit_cli(samples))
     return runs
 
@@ -135,10 +143,16 @@ def _run_audit_cli(samples: int) -> dict:
 @pytest.mark.parametrize("samples", sorted(AUDIT_DIGESTS))
 def test_audit_cases_match_beta_ppf_bit_for_bit(audit_runs, samples):
     calls, _ = audit_runs[samples]
-    confidences = {confidence for _, _, confidence in calls}
-    assert len(calls) > 300
+    cases = [case for case, _ in calls]
+    confidences = {confidence for _, _, confidence in cases}
+    assert len(cases) > 300
     assert all(c > 0.999 for c in confidences)
-    assert _mismatches(calls) == []
+    assert _mismatches(cases) == []
+    vectorized = [
+        (case, got) for case, got in calls
+        if [x.hex() for x in got] != [x.hex() for x in reference_interval(*case)]
+    ]
+    assert vectorized == []
 
 
 @pytest.mark.parametrize("samples", sorted(AUDIT_DIGESTS))
@@ -153,3 +167,26 @@ def test_audit_reports_are_unchanged(audit_runs, samples):
         for family, report in zip(AUDIT_FAMILIES, payload["reports"])
     }
     assert digests == AUDIT_DIGESTS[samples]
+
+
+def test_hoeffding_endpoints_match_the_scalar_formula():
+    """The vectorized ``"hoeffding"`` path keeps the scalar formula's bits."""
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 7, 6000, 25_000):
+        k = np.unique(np.concatenate(([0, n], rng.integers(0, n + 1, 50))))
+        for confidence in (0.9, 0.999, 1.0 - 0.001 / 76):
+            low, high = audit_module._clopper_pearson_endpoints(
+                k, n, confidence, "hoeffding"
+            )
+            width = math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n))
+            want = [
+                (max(0.0, c / n - width), min(1.0, c / n + width))
+                for c in k.tolist()
+            ]
+            got = list(zip(low.tolist(), high.tolist()))
+            assert [(a.hex(), b.hex()) for a, b in got] == [
+                (a.hex(), b.hex()) for a, b in want
+            ]
+            assert got[0] == clopper_pearson_interval(
+                int(k[0]), n, confidence=confidence, method="hoeffding"
+            )

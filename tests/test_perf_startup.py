@@ -1,4 +1,5 @@
-"""Import guard: ``import repro`` and the serving path load no SciPy.
+"""Import guards: ``import repro`` and the serving path load no SciPy,
+and a process loads only the ``repro`` modules it uses.
 
 Importing ``scipy.stats`` and ``scipy.spatial`` took about 1 s of the
 1.3 s a process spent on ``import repro``, and neither the serving path
@@ -20,6 +21,19 @@ interpreter, because this test process has long since loaded SciPy:
 
 A module-level ``import scipy.stats`` added to any ``repro`` module fails
 the first check.
+
+The package namespaces are lazy (:mod:`repro._lazy`): a package's exports
+load on first access. Two more fresh-interpreter checks hold that in place:
+
+* ``import repro`` loads ``repro`` and ``repro._lazy`` and nothing else;
+* a small ``ReleaseService`` fleet, run from a fresh ``import repro``,
+  loads no module under ``repro.core``, ``repro.learning``,
+  ``repro.private_learning``, ``repro.local_privacy``, ``repro.analysis``
+  or ``repro.information.blahut_arimoto``;
+* ``python -m repro --help`` loads no ``numpy`` and no ``scipy``.
+
+A module-level ``import repro.core`` added to ``serving/service.py`` fails
+the second check.
 """
 
 from __future__ import annotations
@@ -39,6 +53,39 @@ _LOADED = (
     "if name == 'scipy' or name.startswith('scipy.'))"
 )
 
+_FLEET = """
+from repro.exceptions import PrivacyBudgetError, ServingTimeoutError
+from repro.mechanisms import LaplaceMechanism, PrivacySpec
+from repro.serving import ReleaseService, ServiceConfig, SimulatedClock, TenantRegistry
+
+clock = SimulatedClock()
+registry = TenantRegistry()
+for index in range(2):
+    registry.register(f"tenant-{index}", PrivacySpec(1.0), seed=index)
+service = ReleaseService(
+    registry, clock=clock, config=ServiceConfig(request_timeout=0.2)
+)
+service.add_mechanism(
+    "count", LaplaceMechanism(sum, sensitivity=1.0, epsilon=0.05)
+)
+outcomes = []
+
+async def client(index):
+    for request in range(4):
+        await clock.sleep(0.004 * (index + request))
+        try:
+            await service.submit(f"tenant-{index % 2}", "count", [0, 1, 1])
+            outcomes.append("ok")
+        except (PrivacyBudgetError, ServingTimeoutError) as error:
+            outcomes.append(type(error).__name__)
+
+async def fleet():
+    await asyncio.gather(*(client(index) for index in range(8)))
+    await service.drain()
+
+clock.run(fleet())
+"""
+
 _PROBE = f"""
 import asyncio, importlib, json, pkgutil, sys
 
@@ -55,36 +102,7 @@ for info in pkgutil.walk_packages(repro.__path__, "repro.", onerror=fail):
         importlib.import_module(info.name)
 after_import = loaded()
 
-from repro.exceptions import PrivacyBudgetError, ServingTimeoutError
-from repro.mechanisms import LaplaceMechanism, PrivacySpec
-from repro.serving import ReleaseService, ServiceConfig, SimulatedClock, TenantRegistry
-
-clock = SimulatedClock()
-registry = TenantRegistry()
-for index in range(2):
-    registry.register(f"tenant-{{index}}", PrivacySpec(1.0), seed=index)
-service = ReleaseService(
-    registry, clock=clock, config=ServiceConfig(request_timeout=0.2)
-)
-service.add_mechanism(
-    "count", LaplaceMechanism(sum, sensitivity=1.0, epsilon=0.05)
-)
-outcomes = []
-
-async def client(index):
-    for request in range(4):
-        await clock.sleep(0.004 * (index + request))
-        try:
-            await service.submit(f"tenant-{{index % 2}}", "count", [0, 1, 1])
-            outcomes.append("ok")
-        except (PrivacyBudgetError, ServingTimeoutError) as error:
-            outcomes.append(type(error).__name__)
-
-async def fleet():
-    await asyncio.gather(*(client(index) for index in range(8)))
-    await service.drain()
-
-clock.run(fleet())
+{_FLEET}
 after_serving = loaded()
 
 from repro.testing import AUDIT_FAMILIES, build_audit, run_audit
@@ -116,14 +134,14 @@ print(json.dumps({{"loaded": {_LOADED}, "failures": failures}}))
 """
 
 
-def _python(code: str) -> str:
+def _run(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -131,7 +149,11 @@ def _python(code: str) -> str:
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout
+    return result
+
+
+def _python(code: str) -> str:
+    return _run("-c", code).stdout
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +192,71 @@ def test_paper_sweep_loads_only_scipy_special(special):
     assert len(sweep["failures"]) == 19 and not any(sweep["failures"])
     assert "scipy.special" in loaded
     assert loaded <= special, sorted(loaded - special)
+
+
+#: ``import repro`` loads the package namespace and its lazy-export helper.
+IMPORT_SET = ["repro", "repro._lazy"]
+
+#: Packages and modules the serving path never needs.
+NOT_FOR_SERVING = (
+    "repro.core",
+    "repro.information.blahut_arimoto",
+    "repro.learning",
+    "repro.private_learning",
+    "repro.local_privacy",
+    "repro.analysis",
+)
+
+_REPRO = "sorted(m for m in sys.modules if m == 'repro' or m.startswith('repro.'))"
+
+_IMPORT_SET_PROBE = f"""
+import asyncio, json, sys
+
+import repro
+after_import = {_REPRO}
+numpy_on_import = "numpy" in sys.modules
+{_FLEET}
+print(json.dumps({{
+    "after_import": after_import,
+    "numpy_on_import": numpy_on_import,
+    "after_serving": {_REPRO},
+    "outcomes": outcomes,
+}}))
+"""
+
+
+@pytest.fixture(scope="module")
+def import_sets() -> dict:
+    return json.loads(_python(_IMPORT_SET_PROBE))
+
+
+def test_import_repro_loads_only_the_namespace(import_sets):
+    assert import_sets["after_import"] == IMPORT_SET
+    assert not import_sets["numpy_on_import"]
+
+
+def test_serving_fleet_loads_only_what_it_uses(import_sets):
+    assert "ok" in import_sets["outcomes"]
+    loaded = import_sets["after_serving"]
+    assert "repro.serving.service" in loaded
+    unexpected = [
+        module for module in loaded
+        if any(module == banned or module.startswith(banned + ".")
+               for banned in NOT_FOR_SERVING)
+    ]
+    assert unexpected == []
+
+
+def test_cli_help_loads_no_numeric_package():
+    result = _run("-X", "importtime", "-m", "repro", "--help")
+    assert "usage: repro" in result.stdout
+    imported = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "repro.cli" in imported
+    numeric = sorted(
+        name for name in imported if name.split(".")[0] in ("numpy", "scipy")
+    )
+    assert numeric == []

@@ -470,6 +470,25 @@ class TestAdmissionControl:
         ]
         assert ledger[0].spec is spec
 
+    def test_ledger_entries_share_one_label_per_tenant_and_mechanism(self):
+        """Every charge of one (tenant, mechanism) pair records the same
+        label object, in a slotted entry: a long-running service keeps one
+        entry per request."""
+        clock = SimulatedClock()
+        service = make_service(clock, tenants=("alice", "bob"), flush_window=0.01)
+
+        async def main():
+            for _ in range(3):
+                for tenant_id in ("alice", "bob"):
+                    await service.submit(tenant_id, "sum", DATASET)
+
+        clock.run(main())
+        for tenant_id in ("alice", "bob"):
+            ledger = service.registry.get(tenant_id).accountant.ledger()
+            assert [entry.label for entry in ledger] == [f"serve:{tenant_id}:sum"] * 3
+            assert all(entry.label is ledger[0].label for entry in ledger)
+            assert not hasattr(ledger[0], "__dict__")
+
     def test_timed_out_single_request_refunds_to_an_empty_ledger(self):
         clock = SimulatedClock()
         service = make_service(clock, flush_window=0.5, request_timeout=0.01)

@@ -292,6 +292,77 @@ class TestExplicitExports:
         assert rule_findings(report, "DPL005") == []
 
 
+class TestLazyExports:
+    """DPL005 on a lazy package: the keys of its literal ``_EXPORTS``
+    table count as bound names."""
+
+    LAZY = """
+        \"\"\"Package doc.\"\"\"
+
+        from repro.information.entropy import entropy
+        from repro._lazy import attach as _attach
+
+        _EXPORTS = {{
+            {table}
+        }}
+
+        __all__ = [{names}]
+
+        __getattr__, __dir__ = _attach(__name__, _EXPORTS)
+        """
+
+    def lazy(self, table: str, names: str):
+        source = self.LAZY.format(table=table, names=names)
+        return rule_findings(run(source, "repro/information/__init__.py"), "DPL005")
+
+    def test_clean_lazy_package(self):
+        findings = self.lazy(
+            '"kl_divergence": "repro.information.divergences",\n'
+            '            "DiscreteChannel": "repro.information.channel",',
+            '"DiscreteChannel", "entropy", "kl_divergence"',
+        )
+        assert findings == []
+
+    def test_flags_stale_entry_missing_from_the_table(self):
+        findings = self.lazy(
+            '"kl_divergence": "repro.information.divergences",',
+            '"entropy", "kl_divergence", "total_variation"',
+        )
+        assert len(findings) == 1
+        assert "total_variation" in findings[0].message
+        assert "stale" in findings[0].message
+
+    def test_flags_table_key_missing_from_all(self):
+        findings = self.lazy(
+            '"kl_divergence": "repro.information.divergences",\n'
+            '            "total_variation": "repro.information.divergences",',
+            '"entropy", "kl_divergence"',
+        )
+        assert len(findings) == 1
+        assert "total_variation" in findings[0].message
+        assert "missing from __all__" in findings[0].message
+
+    def test_flags_key_given_twice(self):
+        findings = self.lazy(
+            '"kl_divergence": "repro.information.divergences",\n'
+            '            "kl_divergence": "repro.information.channel",',
+            '"entropy", "kl_divergence"',
+        )
+        assert len(findings) == 1
+        assert "_EXPORTS maps 'kl_divergence' more than once" in findings[0].message
+        assert findings[0].line == 7
+
+    def test_table_under_another_name_binds_nothing(self):
+        source = self.LAZY.format(
+            table='"kl_divergence": "repro.information.divergences",',
+            names='"entropy", "kl_divergence"',
+        ).replace("_EXPORTS", "_TABLE")
+        findings = rule_findings(run(source, "repro/information/__init__.py"), "DPL005")
+        assert len(findings) == 1
+        assert "'kl_divergence'" in findings[0].message
+        assert "stale" in findings[0].message
+
+
 class TestDocstringParameters:
     """DPL006: public API has docstrings; multi-param defs a Parameters
     section."""

@@ -9,7 +9,9 @@ ablation (bound-optimal marginal prior vs uniform prior) — the paper's
 
 Expected shape (asserted): Gibbs deviation ~ solver tolerance at every ε;
 objective matches the free-energy closed form; the optimal-prior objective
-is never worse than any fixed-prior Gibbs channel's.
+is never worse than any fixed-prior Gibbs channel's; every prior's Gibbs
+channel satisfies ``E_Z KL(π̂‖π) = I(Z;θ) + KL(E_Z π̂‖π)``, with the second
+term zero only at the bound-optimal prior.
 """
 
 import numpy as np
@@ -18,8 +20,10 @@ import pytest
 from benchmarks.common import bernoulli_instance, print_header
 from repro.core import minimize_tradeoff
 from repro.core.tradeoff import gibbs_channel_matrix, tradeoff_objective
+from repro.distributions import DiscreteDistribution
 from repro.experiments import ResultTable
 from repro.information.blahut_arimoto import rate_distortion_free_energy
+from repro.information.divergences import kl_decomposition
 
 EPSILONS = [0.1, 0.5, 1.0, 2.0, 5.0, 20.0]
 
@@ -94,20 +98,26 @@ def test_e5_fixed_point_sweep(benchmark):
 
 def test_e5_prior_ablation(benchmark):
     """Ablation (DESIGN.md #3): objective with the bound-optimal marginal
-    prior vs a uniform prior vs a skewed prior."""
+    prior vs a uniform prior vs a skewed prior.
+
+    Each row is also checked against the paper's decomposition
+    ``E_Z KL(π̂‖π) = I(Z;θ) + KL(E_Z π̂‖π)`` on the exact Gibbs channel of
+    its prior: the objective is ``E R̂ + I/ε``, and the second term
+    vanishes at the bound-optimal prior ``π = E_Z π̂``, where the Gibbs
+    channel reproduces its own prior as its marginal (Theorem 4.2).
+    """
     instance = bernoulli_instance(p=0.7, grid_size=5, n=2)
     source, risks = instance["source"], instance["risk_matrix"]
     epsilon = 1.0
+    fixed_priors = [
+        ("uniform prior", np.full(risks.shape[1], 1.0 / risks.shape[1])),
+        ("skewed prior", np.array([0.6, 0.1, 0.1, 0.1, 0.1])),
+    ]
 
     def run():
         optimal = minimize_tradeoff(source, risks, epsilon)
-        uniform_prior = np.full(risks.shape[1], 1.0 / risks.shape[1])
-        skewed_prior = np.array([0.6, 0.1, 0.1, 0.1, 0.1])
         rows = [("optimal marginal prior", optimal.objective)]
-        for label, prior in [
-            ("uniform prior", uniform_prior),
-            ("skewed prior", skewed_prior),
-        ]:
+        for label, prior in fixed_priors:
             channel = gibbs_channel_matrix(prior, risks, epsilon)
             rows.append(
                 (label, tradeoff_objective(channel, source, risks, epsilon))
@@ -128,6 +138,27 @@ def test_e5_prior_ablation(benchmark):
     optimal_value = rows[0][1]
     for _, value in rows[1:]:
         assert optimal_value <= value + 1e-9
+
+    marginal = minimize_tradeoff(source, risks, epsilon).optimal_prior
+    priors = [marginal.probabilities] + [prior for _, prior in fixed_priors]
+    for (label, value), prior in zip(rows, priors):
+        channel = gibbs_channel_matrix(prior, risks, epsilon)
+        parts = kl_decomposition(
+            [DiscreteDistribution(marginal.support, row) for row in channel],
+            source,
+            DiscreteDistribution(marginal.support, prior),
+        )
+        assert parts["expected_kl"] == pytest.approx(
+            parts["mutual_information"] + parts["marginal_kl"], abs=1e-9
+        ), label
+        expected_risk = float(source @ (channel * risks).sum(axis=1))
+        assert expected_risk + parts["mutual_information"] / epsilon == (
+            pytest.approx(value, abs=1e-9)
+        ), label
+        if label == "optimal marginal prior":
+            assert parts["marginal_kl"] == pytest.approx(0.0, abs=1e-9)
+        else:
+            assert parts["marginal_kl"] > 1e-6, label
 
 
 def test_e5_convergence_speed(benchmark):

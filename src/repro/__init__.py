@@ -59,7 +59,6 @@ _EXPORTS = {
     "audit_mechanism": "repro.testing.audit",
     "BernoulliTask": "repro.learning.datasets",
     "GaussianThresholdTask": "repro.learning.datasets",
-    "LinearSVM": "repro.learning.models",
     "LogisticRegressionModel": "repro.learning.models",
     "PredictorGrid": "repro.learning.erm",
     "TwoGaussiansTask": "repro.learning.datasets",
@@ -100,7 +99,6 @@ __all__ = [
     "GibbsPosterior",
     "LaplaceMechanism",
     "LearningChannel",
-    "LinearSVM",
     "LogisticRegressionModel",
     "Mechanism",
     "NotFittedError",

@@ -555,7 +555,7 @@ def _audit_body(args) -> int:
     from repro.experiments import ResultTable
     from repro.privacy import ExactPrivacyAuditor
     from repro.testing import AUDIT_FAMILIES, build_audit, run_audit
-    from repro.testing.statistical import derive_seed
+    from repro.utils.seeds import derive_seed
 
     if args.list_families:
         for family in AUDIT_FAMILIES:

@@ -38,7 +38,6 @@ _EXPORTS = {
     "tradeoff_objective": "repro.core.tradeoff",
     "LearningChannel": "repro.core.channel",
     "TruncatedBetaBernoulliPosterior": "repro.core.bayes",
-    "posterior_sampling_privacy": "repro.core.bayes",
     "temperature_for_posterior_privacy": "repro.core.bayes",
     "exact_generalization_gap": "repro.core.information_risk",
     "generalization_report": "repro.core.information_risk",
@@ -76,7 +75,6 @@ __all__ = [
     "privacy_generalization_bound",
     "private_gibbs_with_selection",
     "privacy_of_temperature",
-    "posterior_sampling_privacy",
     "seeger_bound",
     "select_temperature_by_bound",
     "select_temperature_private",

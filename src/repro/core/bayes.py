@@ -39,16 +39,6 @@ def bernoulli_log_likelihood_range(truncation: float) -> float:
     return float(np.log((1.0 - truncation) / truncation))
 
 
-def posterior_sampling_privacy(temperature: float, log_likelihood_range: float) -> float:
-    """Theorem 4.1 specialized: one tempered-posterior sample is
-    ``2·λ·B``-DP (substitution neighbours)."""
-    temperature = check_positive(temperature, name="temperature")
-    log_likelihood_range = check_positive(
-        log_likelihood_range, name="log_likelihood_range"
-    )
-    return 2.0 * temperature * log_likelihood_range
-
-
 def temperature_for_posterior_privacy(
     epsilon: float, log_likelihood_range: float
 ) -> float:

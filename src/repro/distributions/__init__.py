@@ -19,7 +19,6 @@ _EXPORTS = {
     "BatchedLangevinSampler": "repro.distributions.sampling",
     "LangevinResult": "repro.distributions.sampling",
     "MetropolisHastingsSampler": "repro.distributions.sampling",
-    "inverse_cdf_sample": "repro.distributions.sampling",
     "log_acceptance_ratio": "repro.distributions.sampling",
 }
 
@@ -34,7 +33,6 @@ __all__ = [
     "LaplaceNoise",
     "NoiseDistribution",
     "MetropolisHastingsSampler",
-    "inverse_cdf_sample",
     "log_acceptance_ratio",
 ]
 

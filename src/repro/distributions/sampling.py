@@ -2,11 +2,10 @@
 
 The Gibbs posterior over a *continuous* parameter space has an intractable
 normalizer, but its unnormalized log-density ``log π(θ) - ε R̂(θ)`` is cheap
-to evaluate — exactly the setting Metropolis–Hastings handles. The discrete
-inverse-CDF sampler backs the exponential mechanism on finite ranges, and
-the batched Langevin (MALA) sampler opens the ``d ≫ 1`` regime: many
-chains advanced in lock-step as one set of numpy array operations, under a
-single stream-disciplined :class:`numpy.random.Generator`.
+to evaluate — exactly the setting Metropolis–Hastings handles. The
+batched Langevin (MALA) sampler opens the ``d ≫ 1`` regime: many chains
+advanced in lock-step as one set of numpy array operations, under a single
+stream-disciplined :class:`numpy.random.Generator`.
 
 All Metropolis acceptance arithmetic stays in log-space
 (:func:`log_acceptance_ratio`, and the same decisions written as one
@@ -72,23 +71,6 @@ def _log_uniform(rng: np.random.Generator, size=None):
     """``log U`` for the acceptance test, warning-free at ``U == 0``."""
     with np.errstate(divide="ignore"):
         return np.log(rng.uniform(size=size))
-
-
-def inverse_cdf_sample(probabilities, uniforms) -> np.ndarray:
-    """Map uniform variates to indices by inverting the discrete CDF.
-
-    Deterministic given ``uniforms``, which makes mechanism tests
-    reproducible down to the draw.
-    """
-    probs = np.asarray(probabilities, dtype=float)
-    if probs.ndim != 1 or np.any(probs < 0):
-        raise ValidationError("probabilities must be a nonnegative vector")
-    cdf = np.cumsum(probs)
-    if not np.isclose(cdf[-1], 1.0, atol=1e-8):
-        raise ValidationError("probabilities must sum to one")
-    cdf[-1] = 1.0
-    uniforms = np.asarray(uniforms, dtype=float)
-    return np.searchsorted(cdf, uniforms, side="right").clip(0, probs.size - 1)
 
 
 @dataclass

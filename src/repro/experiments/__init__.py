@@ -29,7 +29,7 @@ _EXPORTS = {
     "experiment_span": "repro.experiments.registry",
     "get_experiment": "repro.experiments.registry",
     "expand_grid": "repro.experiments.runner",
-    "reseed": "repro.experiments.runner",
+    "reseed": "repro.utils.seeds",
     "run_configurations": "repro.experiments.runner",
     "ResultTable": "repro.experiments.tables",
 }

@@ -11,7 +11,6 @@ output-identical to serial ones.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import os
 import time
@@ -22,27 +21,7 @@ from repro.exceptions import ValidationError
 from repro.experiments.manifest import ConfigurationRecord
 from repro.observability import tracer as _trace
 
-__all__ = ["expand_grid", "reseed", "run_configurations"]
-
-
-def reseed(seed: int, attempt: int) -> int:
-    """Deterministically re-derive a worker seed for a retry attempt.
-
-    Attempt 0 returns ``seed`` unchanged; attempt ``k > 0`` hashes
-    ``(seed, k)`` so a retried configuration gets a fresh but reproducible
-    RNG stream instead of replaying the exact draw that just failed.
-
-    Parameters
-    ----------
-    seed:
-        The configuration's original integer seed.
-    attempt:
-        Retry attempt number (0 = first try).
-    """
-    if attempt == 0:
-        return int(seed)
-    blob = f"repro.reseed:{int(seed)}:{int(attempt)}".encode()
-    return int.from_bytes(hashlib.sha256(blob).digest()[:4], "big")
+__all__ = ["expand_grid", "run_configurations"]
 
 
 def _invoke(fn: Callable[..., Mapping], parameters: Mapping) -> tuple:

@@ -15,14 +15,9 @@ from repro.information.entropy import entropy
 from repro._lazy import attach as _attach
 
 _EXPORTS = {
-    "binary_entropy": "repro.information.entropy",
-    "conditional_entropy": "repro.information.entropy",
-    "cross_entropy": "repro.information.entropy",
     "joint_entropy": "repro.information.entropy",
-    "binary_kl": "repro.information.divergences",
     "binary_kl_inverse": "repro.information.divergences",
     "hockey_stick_divergence": "repro.information.divergences",
-    "jensen_shannon_divergence": "repro.information.divergences",
     "kl_divergence": "repro.information.divergences",
     "max_divergence": "repro.information.divergences",
     "renyi_divergence": "repro.information.divergences",
@@ -44,7 +39,6 @@ _EXPORTS = {
     "mi_bound_group_privacy": "repro.information.leakage",
     "mi_bound_source_entropy": "repro.information.leakage",
     "min_entropy_leakage": "repro.information.leakage",
-    "multiplicative_leakage_capacity": "repro.information.leakage",
     "posterior_vulnerability": "repro.information.leakage",
     "vulnerability": "repro.information.leakage",
 }
@@ -60,20 +54,14 @@ __all__ = [
     "mi_bound_group_privacy",
     "mi_bound_source_entropy",
     "min_entropy_leakage",
-    "multiplicative_leakage_capacity",
     "posterior_vulnerability",
     "vulnerability",
     "BlahutArimotoResult",
     "DiscreteChannel",
-    "binary_entropy",
-    "binary_kl",
     "binary_kl_inverse",
     "channel_capacity",
-    "conditional_entropy",
-    "cross_entropy",
     "entropy",
     "hockey_stick_divergence",
-    "jensen_shannon_divergence",
     "joint_entropy",
     "kl_divergence",
     "max_divergence",

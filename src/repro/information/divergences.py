@@ -93,13 +93,6 @@ def kl_divergence(p_dist, q_dist) -> float:
     return float(_kl_rows(*_pair(p_dist, q_dist)))
 
 
-def binary_kl(p: float, q: float) -> float:
-    """KL divergence between Bernoulli(p) and Bernoulli(q), ``kl(p‖q)``."""
-    p = check_in_range(p, name="p", low=0.0, high=1.0)
-    q = check_in_range(q, name="q", low=0.0, high=1.0)
-    return float(_kl_rows(_bernoulli(p), _bernoulli(q)))
-
-
 def binary_kl_inverse(p: float, budget: float, *, tol: float = 1e-12) -> float:
     """Largest ``q ≥ p`` with ``kl(p ‖ q) ≤ budget`` (Seeger bound inversion).
 
@@ -126,13 +119,6 @@ def total_variation(p_dist, q_dist) -> float:
     """Total variation distance ``½ Σ |p - q|``."""
     p, q = _pair(p_dist, q_dist)
     return float(0.5 * np.abs(p - q).sum())
-
-
-def jensen_shannon_divergence(p_dist, q_dist) -> float:
-    """Jensen–Shannon divergence (symmetric, bounded by ``log 2``)."""
-    p, q = _pair(p_dist, q_dist)
-    mixture = 0.5 * (p + q)
-    return 0.5 * kl_divergence(p, mixture) + 0.5 * kl_divergence(q, mixture)
 
 
 def renyi_divergence(p_dist, q_dist, alpha: float) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 from repro.distributions.discrete import DiscreteDistribution
 from repro.exceptions import ValidationError
 from repro.utils.numerics import xlogx
-from repro.utils.validation import check_in_range, check_probability_vector
+from repro.utils.validation import check_probability_vector
 
 
 def _as_probability_vector(dist) -> np.ndarray:
@@ -26,24 +26,6 @@ def entropy(dist) -> float:
     return float(-xlogx(probs).sum())
 
 
-def binary_entropy(p: float) -> float:
-    """Entropy of a Bernoulli(p) variable in nats."""
-    p = check_in_range(p, name="p", low=0.0, high=1.0)
-    return entropy(np.array([p, 1.0 - p]))
-
-
-def cross_entropy(p_dist, q_dist) -> float:
-    """Cross entropy ``-Σ p log q`` (``inf`` if q misses mass p needs)."""
-    p = _as_probability_vector(p_dist)
-    q = _as_probability_vector(q_dist)
-    if p.shape != q.shape:
-        raise ValidationError("p and q must have the same length")
-    mask = p > 0
-    if np.any(q[mask] == 0):
-        return float("inf")
-    return float(-(p[mask] * np.log(q[mask])).sum())
-
-
 def joint_entropy(joint) -> float:
     """Entropy of a joint PMF given as a nonnegative matrix summing to one."""
     joint = np.asarray(joint, dtype=float)
@@ -53,14 +35,3 @@ def joint_entropy(joint) -> float:
         raise ValidationError("joint must be a probability matrix summing to 1")
     return float(-xlogx(joint).sum())
 
-
-def conditional_entropy(joint) -> float:
-    """Conditional entropy ``H(Y|X)`` for a joint PMF with X on rows.
-
-    ``H(Y|X) = H(X, Y) - H(X)`` where ``H(X)`` is the row-marginal entropy.
-    """
-    joint = np.asarray(joint, dtype=float)
-    if joint.ndim != 2:
-        raise ValidationError("joint must be a 2-D matrix")
-    marginal_x = joint.sum(axis=1)
-    return joint_entropy(joint) - float(-xlogx(marginal_x).sum())

@@ -7,8 +7,6 @@ privacy to channel leakage. This module implements that toolkit:
 
 * **min-entropy leakage** (Smith 2009): how much a single optimal guess
   about the secret improves after seeing the output;
-* **multiplicative leakage capacity**: its worst case over priors,
-  ``log Σ_y max_x C[x, y]``, attained at the uniform prior;
 * **Alvim et al.'s bound**: an ε-DP channel over n-record datasets with a
   per-record universe of size u has min-entropy leakage at most
   ``n · log( u·e^ε / (u - 1 + e^ε) )``;
@@ -49,15 +47,6 @@ def min_entropy_leakage(channel: DiscreteChannel, prior) -> float:
         np.log(posterior_vulnerability(channel, prior))
         - np.log(vulnerability(prior))
     )
-
-
-def multiplicative_leakage_capacity(channel: DiscreteChannel) -> float:
-    """Worst-case min-entropy leakage over priors: ``log Σ_y max_x C[x,y]``.
-
-    Braun–Chatzikokolakis–Palamidessi: the supremum is attained at the
-    uniform prior, giving this closed form.
-    """
-    return float(np.log(channel.matrix.max(axis=0).sum()))
 
 
 def alvim_min_entropy_bound(epsilon: float, n: int, universe_size: int) -> float:

@@ -50,17 +50,6 @@ def empirical_risk_matrix(
     return matrix
 
 
-def erm_minimizer(
-    loss: Callable[[object, object], float], thetas: Sequence, sample: Sequence
-):
-    """The grid predictor with the smallest empirical risk (first wins ties)."""
-    thetas = list(thetas)
-    if not thetas:
-        raise ValidationError("thetas must not be empty")
-    risks = [empirical_risk(loss, theta, sample) for theta in thetas]
-    return thetas[int(np.argmin(risks))]
-
-
 class PredictorGrid:
     """A finite predictor space Θ with its record-batched loss.
 

@@ -11,8 +11,7 @@ PAC-Bayes machinery consumes:
 * ``derivative`` / ``second_derivative`` — consumed by the optimizers.
 
 Binary-classification losses use the *margin* form ``l(u)`` with
-``u = y · ⟨θ, x⟩`` and labels in {-1, +1}; regression losses use the
-residual form ``l(r)`` with ``r = ⟨θ, x⟩ - y``.
+``u = y · ⟨θ, x⟩`` and labels in {-1, +1}.
 """
 
 from __future__ import annotations
@@ -167,58 +166,6 @@ class HuberHingeLoss(MarginLoss):
 
     def __repr__(self) -> str:
         return f"HuberHingeLoss(smoothing={self.smoothing:.4g})"
-
-
-class RegressionLoss(abc.ABC):
-    """A residual loss ``l(r)`` with r = prediction - target."""
-
-    @abc.abstractmethod
-    def value(self, residuals) -> np.ndarray:
-        """Loss at each residual."""
-
-    @abc.abstractmethod
-    def derivative(self, residuals) -> np.ndarray:
-        """dl/dr at each residual."""
-
-    @property
-    @abc.abstractmethod
-    def lipschitz_constant(self) -> float:
-        """Global Lipschitz constant in r (may be inf)."""
-
-    def bounds(self) -> tuple[float, float] | None:
-        return None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class SquaredLoss(RegressionLoss):
-    """Squared loss ``r²`` (½-free convention)."""
-
-    def value(self, residuals) -> np.ndarray:
-        r = np.asarray(residuals, dtype=float)
-        return r * r
-
-    def derivative(self, residuals) -> np.ndarray:
-        return 2.0 * np.asarray(residuals, dtype=float)
-
-    @property
-    def lipschitz_constant(self) -> float:
-        return float("inf")
-
-
-class AbsoluteLoss(RegressionLoss):
-    """Absolute loss ``|r|`` — 1-Lipschitz."""
-
-    def value(self, residuals) -> np.ndarray:
-        return np.abs(np.asarray(residuals, dtype=float))
-
-    def derivative(self, residuals) -> np.ndarray:
-        return np.sign(np.asarray(residuals, dtype=float))
-
-    @property
-    def lipschitz_constant(self) -> float:
-        return 1.0
 
 
 class TruncatedLoss(MarginLoss):

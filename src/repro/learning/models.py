@@ -1,4 +1,4 @@
-"""Concrete learners: regularized logistic regression, linear SVM, ridge.
+"""Concrete learners: regularized logistic regression and ridge regression.
 
 These are the non-private reference learners; their private counterparts
 live in :mod:`repro.private_learning`. All linear classifiers use labels in
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import NotFittedError, ValidationError
-from repro.learning.losses import HuberHingeLoss, LogisticLoss, MarginLoss
+from repro.learning.losses import LogisticLoss, MarginLoss
 from repro.learning.optimize import gradient_descent, newton_method
 from repro.utils.validation import check_array, check_positive
 
@@ -118,19 +118,6 @@ class LogisticRegressionModel(_LinearClassifier):
         """``P(y = +1 | x)`` under the fitted model."""
         scores = self.decision_function(x)
         return 1.0 / (1.0 + np.exp(-scores))
-
-
-class LinearSVM(_LinearClassifier):
-    """L2-regularized linear SVM with the Huber-smoothed hinge loss.
-
-    The smoothing keeps the objective twice differentiable, which both the
-    Newton solver and the objective-perturbation privacy analysis require.
-    """
-
-    def __init__(
-        self, regularization: float = 1e-2, smoothing: float = 0.5
-    ) -> None:
-        super().__init__(HuberHingeLoss(smoothing=smoothing), regularization)
 
 
 class RidgeRegressionModel:

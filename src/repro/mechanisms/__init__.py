@@ -20,7 +20,6 @@ _EXPORTS = {
     "VectorLaplaceMechanism": "repro.mechanisms.vector",
     "ReportNoisyMax": "repro.mechanisms.noisy_max",
     "SparseVector": "repro.mechanisms.sparse_vector",
-    "above_threshold": "repro.mechanisms.sparse_vector",
     "SmoothSensitivityMedian": "repro.mechanisms.smooth_sensitivity",
     "LinearQueryWorkload": "repro.mechanisms.histogram",
     "PrivateHistogram": "repro.mechanisms.histogram",
@@ -29,7 +28,6 @@ _EXPORTS = {
     "ExponentialQuantile": "repro.mechanisms.quantile",
     "empirical_risk_sensitivity": "repro.mechanisms.sensitivity",
     "advanced_composition": "repro.mechanisms.composition",
-    "parallel_composition": "repro.mechanisms.composition",
     "sequential_composition": "repro.mechanisms.composition",
     "PrivacyAccountant": "repro.mechanisms.accountant",
 }
@@ -51,11 +49,9 @@ __all__ = [
     "PrivateHistogram",
     "SmoothSensitivityMedian",
     "SparseVector",
-    "above_threshold",
     "VectorLaplaceMechanism",
     "advanced_composition",
     "empirical_risk_sensitivity",
-    "parallel_composition",
     "sequential_composition",
 ]
 

@@ -1,8 +1,8 @@
 """Composition theorems for differential privacy.
 
-Sequential (basic) composition adds parameters; parallel composition over
-disjoint data takes the maximum; the advanced composition theorem (Dwork,
-Rothblum, Vadhan) trades a small δ for a ~√k growth in ε over k releases.
+Sequential (basic) composition adds parameters; the advanced composition
+theorem (Dwork, Rothblum, Vadhan) trades a small δ for a ~√k growth in ε
+over k releases.
 """
 
 from __future__ import annotations
@@ -35,19 +35,6 @@ def sequential_composition(specs: Sequence[PrivacySpec]) -> PrivacySpec:
     return PrivacySpec(
         epsilon=sum(s.epsilon for s in specs),
         delta=min(sum(s.delta for s in specs), 1.0),
-    )
-
-
-def parallel_composition(specs: Sequence[PrivacySpec]) -> PrivacySpec:
-    """Parallel composition: mechanisms run on *disjoint* data partitions.
-
-    ``(max εᵢ, max δᵢ)``-DP overall, since any individual record lives in
-    exactly one partition.
-    """
-    specs = _specs(specs)
-    return PrivacySpec(
-        epsilon=max(s.epsilon for s in specs),
-        delta=max(s.delta for s in specs),
     )
 
 
@@ -87,27 +74,3 @@ def advanced_composition(
         delta=min(k * delta + delta_prime, 1.0),
     )
 
-
-def best_composition(
-    epsilon: float, delta: float, k: int, delta_prime: float
-) -> PrivacySpec:
-    """The tighter of basic and advanced composition for ``k`` repeats.
-
-    Basic composition wins for small k or large ε; advanced wins in the
-    many-query small-ε regime — the crossover is itself a useful artefact
-    and is exercised in the composition tests.
-
-    Parameters
-    ----------
-    epsilon, delta:
-        Per-mechanism guarantee.
-    k:
-        Number of sequential runs.
-    delta_prime:
-        Slack δ' offered to the advanced-composition candidate.
-    """
-    basic = sequential_composition([PrivacySpec(epsilon, delta)] * k)
-    advanced = advanced_composition(epsilon, delta, k, delta_prime)
-    if basic.epsilon <= advanced.epsilon:
-        return basic
-    return advanced

@@ -12,7 +12,6 @@ cannot capture.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -198,40 +197,3 @@ def _standard_laplace_blocks(total: int, rng: np.random.Generator):
         total -= size
         yield _STANDARD_LAPLACE.sample(size=size, random_state=rng).tolist()
 
-
-def above_threshold(
-    data,
-    queries: Sequence[Callable],
-    threshold: float,
-    epsilon: float,
-    *,
-    sensitivity: float = 1.0,
-    random_state=None,
-) -> int | None:
-    """Convenience: index of the first query above ``threshold``, ε-DP.
-
-    Returns None if no query fired before the stream ended.
-
-    Parameters
-    ----------
-    data:
-        Dataset every query is evaluated on.
-    queries:
-        Stream of callables ``query(data) -> float``.
-    threshold:
-        Public threshold the noisy answers are compared against.
-    epsilon:
-        Total privacy budget of the scan.
-    sensitivity:
-        Global sensitivity shared by all queries.
-    random_state:
-        Seed or Generator for the threshold and query noise.
-    """
-    epsilon = check_positive(epsilon, name="epsilon")
-    sensitivity = check_positive(sensitivity, name="sensitivity")
-    mechanism = SparseVector(threshold, sensitivity, epsilon, max_positives=1)
-    mechanism.start(random_state=random_state)
-    for index, query_fn in enumerate(queries):
-        if mechanism.query(float(query_fn(data))):
-            return index
-    return None

@@ -1,4 +1,4 @@
-"""Neighbouring relations and DP predicates (Definition 2.1 of the paper).
+"""Neighbouring relations (Definition 2.1 of the paper).
 
 Two datasets are neighbours when they differ in exactly one record
 (substitution relation — the one the paper uses for learning: samples
@@ -12,10 +12,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator, Sequence
 
-from repro.distributions.discrete import DiscreteDistribution
 from repro.exceptions import ValidationError
-from repro.information.divergences import hockey_stick_divergence, max_divergence
-from repro.utils.validation import check_in_range, check_positive
 
 
 def is_neighbour(dataset_a: Sequence, dataset_b: Sequence) -> bool:
@@ -67,59 +64,3 @@ def all_neighbour_pairs(
                 neighbour[position] = replacement
                 yield dataset, tuple(neighbour)
 
-
-def satisfies_pure_dp(
-    p: DiscreteDistribution,
-    q: DiscreteDistribution,
-    epsilon: float,
-    *,
-    tolerance: float = 1e-9,
-) -> bool:
-    """Whether output laws ``p, q`` on a neighbour pair satisfy ε-DP.
-
-    Checks the max divergence in both directions against ε (with a small
-    numerical tolerance, since the laws are floating point).
-
-    Parameters
-    ----------
-    p, q:
-        Output distributions of the mechanism on a neighbouring pair.
-    epsilon:
-        Claimed privacy parameter (ε >= 0; ε = 0 demands identical laws).
-    tolerance:
-        Numerical slack on the divergence comparison.
-    """
-    epsilon = check_positive(epsilon, name="epsilon", strict=False)
-    return (
-        max_divergence(p, q) <= epsilon + tolerance
-        and max_divergence(q, p) <= epsilon + tolerance
-    )
-
-
-def satisfies_approximate_dp(
-    p: DiscreteDistribution,
-    q: DiscreteDistribution,
-    epsilon: float,
-    delta: float,
-    *,
-    tolerance: float = 1e-9,
-) -> bool:
-    """Whether output laws satisfy (ε, δ)-DP via the hockey-stick test.
-
-    Parameters
-    ----------
-    p, q:
-        Output distributions of the mechanism on a neighbouring pair.
-    epsilon:
-        Claimed privacy parameter (ε >= 0).
-    delta:
-        Claimed failure probability in [0, 1].
-    tolerance:
-        Numerical slack on the divergence comparison.
-    """
-    epsilon = check_positive(epsilon, name="epsilon", strict=False)
-    delta = check_in_range(delta, name="delta", low=0.0, high=1.0)
-    return (
-        hockey_stick_divergence(p, q, epsilon) <= delta + tolerance
-        and hockey_stick_divergence(q, p, epsilon) <= delta + tolerance
-    )

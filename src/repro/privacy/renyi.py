@@ -11,7 +11,6 @@ pairs. Facts implemented:
 
 * pure ε-DP ⇒ (α, min(ε, 2αε²... )) — we use the simple ``(α, ε)`` and the
   tighter small-ε bound;
-* Gaussian mechanism: (α, α·Δ²/(2σ²))-RDP, exactly;
 * RDP composes additively in ρ at fixed α;
 * (α, ρ)-RDP ⇒ (ρ + log(1/δ)/(α-1), δ)-DP for any δ.
 """
@@ -104,61 +103,6 @@ def rdp_of_pure_dp(epsilon: float, alpha: float) -> RenyiSpec:
     )
     rho = float(log_value / (alpha - 1.0))
     return RenyiSpec(alpha, min(epsilon, rho))
-
-
-def rdp_of_gaussian(sensitivity: float, sigma: float, alpha: float) -> RenyiSpec:
-    """Exact RDP of the Gaussian mechanism: ``ρ = α·Δ² / (2σ²)``.
-
-    Parameters
-    ----------
-    sensitivity:
-        L2 sensitivity Δ of the query.
-    sigma:
-        Noise standard deviation.
-    alpha:
-        Rényi order (> 1).
-    """
-    sensitivity = check_positive(sensitivity, name="sensitivity")
-    sigma = check_positive(sigma, name="sigma")
-    alpha = _check_alpha(alpha)
-    return RenyiSpec(alpha, alpha * sensitivity**2 / (2.0 * sigma**2))
-
-
-def rdp_of_laplace(sensitivity: float, scale: float, alpha: float) -> RenyiSpec:
-    """Exact RDP of the Laplace mechanism (Mironov 2017, Prop. 6).
-
-    With ε = Δ/b,  D_α = (1/(α-1)) · log[ (α/(2α-1))·e^{(α-1)ε}
-                                          + ((α-1)/(2α-1))·e^{-αε} ].
-
-    Parameters
-    ----------
-    sensitivity:
-        L1 sensitivity Δ of the query.
-    scale:
-        Laplace scale b.
-    alpha:
-        Rényi order (> 1).
-    """
-    sensitivity = check_positive(sensitivity, name="sensitivity")
-    scale = check_positive(scale, name="scale")
-    alpha = _check_alpha(alpha)
-    eps = sensitivity / scale
-    value = (
-        alpha / (2 * alpha - 1) * np.exp((alpha - 1) * eps)
-        + (alpha - 1) / (2 * alpha - 1) * np.exp(-alpha * eps)
-    )
-    return RenyiSpec(alpha, float(np.log(value) / (alpha - 1)))
-
-
-def compose_rdp(specs: Sequence[RenyiSpec]) -> RenyiSpec:
-    """Compose many mechanisms at a shared order."""
-    specs = list(specs)
-    if not specs:
-        raise ValidationError("need at least one RenyiSpec")
-    total = specs[0]
-    for spec in specs[1:]:
-        total = total.compose(spec)
-    return total
 
 
 def optimal_rdp_to_dp(

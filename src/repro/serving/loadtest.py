@@ -42,7 +42,7 @@ from repro.observability.metrics import HistogramSummary
 from repro.serving.clock import SimulatedClock, SystemClock
 from repro.serving.service import ReleaseService, ServiceConfig
 from repro.serving.tenants import TenantRegistry
-from repro.testing.statistical import derive_seed
+from repro.utils.seeds import derive_seed
 from repro.utils.validation import check_positive, check_random_state
 
 __all__ = [

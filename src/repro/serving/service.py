@@ -16,8 +16,8 @@ the library's mechanisms. Every request passes through the same sequence:
    makes coalescing *invisible*: outputs are bit-identical to serving the
    same requests sequentially from the tenant's RNG stream.
 3. **Robustness** — per-request clock timeouts, bounded retries with
-   deterministically re-derived generators (the bench engine's
-   ``reseed`` idiom), and graceful drain/abort on shutdown.
+   deterministically re-derived generators
+   (:func:`~repro.utils.seeds.reseed`), and graceful drain/abort on shutdown.
 
 Reservation semantics: a charge is refunded **only** when the release
 provably did not happen — a request that times out while still queued, a
@@ -37,12 +37,11 @@ from repro.exceptions import (
     ServingTimeoutError,
     ValidationError,
 )
-from repro.experiments.runner import reseed
 from repro.mechanisms.base import Mechanism, PrivacySpec
 from repro.observability import tracer as _trace
 from repro.serving.clock import Clock, SystemClock
 from repro.serving.tenants import Tenant, TenantRegistry
-from repro.testing.statistical import derive_seed
+from repro.utils.seeds import derive_seed, reseed
 from repro.utils.validation import check_positive, check_random_state
 
 __all__ = ["ReleaseService", "ServiceConfig"]

@@ -22,7 +22,7 @@ import numpy as np
 from repro.exceptions import ValidationError
 from repro.mechanisms.accountant import PrivacyAccountant
 from repro.mechanisms.base import PrivacySpec
-from repro.testing.statistical import derive_seed
+from repro.utils.seeds import derive_seed
 from repro.utils.validation import check_random_state
 
 __all__ = ["Tenant", "TenantRegistry"]

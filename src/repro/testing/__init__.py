@@ -33,15 +33,14 @@ _EXPORTS = {
     "bit_flip_pair": "repro.testing.neighbors",
     "extreme_record_pair": "repro.testing.neighbors",
     "score_gap_pair": "repro.testing.neighbors",
-    "substitution_pairs": "repro.testing.neighbors",
     "AUDIT_FAMILIES": "repro.testing.registry",
     "PreparedAudit": "repro.testing.registry",
     "build_audit": "repro.testing.registry",
     "run_audit": "repro.testing.registry",
-    "BASE_SEED": "repro.testing.statistical",
+    "BASE_SEED": "repro.utils.seeds",
     "DEFAULT_POLICY": "repro.testing.statistical",
     "StatisticalPolicy": "repro.testing.statistical",
-    "derive_seed": "repro.testing.statistical",
+    "derive_seed": "repro.utils.seeds",
 }
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "extreme_record_pair",
     "run_audit",
     "score_gap_pair",
-    "substitution_pairs",
 ]
 
 __getattr__, __dir__ = _attach(__name__, _EXPORTS)

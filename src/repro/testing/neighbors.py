@@ -16,11 +16,10 @@ relation of Definition 2.1:
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.exceptions import ValidationError
-from repro.privacy.definitions import all_neighbour_pairs, is_neighbour
+from repro.privacy.definitions import is_neighbour
 
 
 @dataclass(frozen=True)
@@ -127,22 +126,3 @@ def score_gap_pair(n: int) -> NeighborPair:
         bit_flip_pair(n).a, bit_flip_pair(n).b, name=f"score-gap/n={n}"
     ).validate()
 
-
-def substitution_pairs(
-    universe: Sequence, n: int
-) -> Iterator[NeighborPair]:
-    """Every ordered substitution pair on a finite universe, labelled.
-
-    Wraps :func:`repro.privacy.all_neighbour_pairs` into
-    :class:`NeighborPair` objects — exhaustive (exponential in ``n``), for
-    the small universes where an audit can afford to try every pair.
-
-    Parameters
-    ----------
-    universe:
-        The record domain.
-    n:
-        Dataset size.
-    """
-    for index, (a, b) in enumerate(all_neighbour_pairs(universe, n)):
-        yield NeighborPair(a, b, name=f"substitution#{index}")

@@ -17,40 +17,11 @@ derived (never wall-clock), the whole tier is bit-for-bit reproducible.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from repro.exceptions import ValidationError
+from repro.utils.seeds import BASE_SEED, derive_seed
 from repro.utils.validation import check_confidence
-
-#: Default base seed for the statistical tier (the workshop date, matching
-#: the fixture convention in ``tests/conftest.py``).
-BASE_SEED = 20120330
-
-
-def derive_seed(*parts, base_seed: int = BASE_SEED) -> int:
-    """Derive a deterministic 63-bit seed from string-able parts.
-
-    Hash-based derivation (SHA-256 over the rendered parts) gives every
-    (test, attempt) pair an independent-looking stream without any global
-    state: the same parts always produce the same seed, on every platform
-    and in every process.
-
-    Parameters
-    ----------
-    *parts:
-        Values identifying the consumer (test name, attempt number, ...);
-        rendered with ``repr`` before hashing.
-    base_seed:
-        Tier-wide base mixed into the hash, so a policy with a different
-        ``base_seed`` yields disjoint streams.
-    """
-    digest = hashlib.sha256()
-    digest.update(repr(int(base_seed)).encode())
-    for part in parts:
-        digest.update(b"\x1f")
-        digest.update(repr(part).encode())
-    return int.from_bytes(digest.digest()[:8], "big") >> 1
 
 
 @dataclass(frozen=True)

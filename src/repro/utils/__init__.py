@@ -10,13 +10,11 @@ _EXPORTS = {
     "check_probability_vector": "repro.utils.validation",
     "check_random_state": "repro.utils.validation",
     "check_row_stochastic": "repro.utils.validation",
-    "log_mean_exp": "repro.utils.numerics",
     "logsumexp": "repro.utils.numerics",
     "normalize_log_weights": "repro.utils.numerics",
     "softmax": "repro.utils.numerics",
     "stable_log": "repro.utils.numerics",
     "xlogx": "repro.utils.numerics",
-    "xlogy": "repro.utils.numerics",
 }
 
 __all__ = [
@@ -27,13 +25,11 @@ __all__ = [
     "check_probability_vector",
     "check_random_state",
     "check_row_stochastic",
-    "log_mean_exp",
     "logsumexp",
     "normalize_log_weights",
     "softmax",
     "stable_log",
     "xlogx",
-    "xlogy",
 ]
 
 __getattr__, __dir__ = _attach(__name__, _EXPORTS)

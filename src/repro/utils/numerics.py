@@ -133,16 +133,6 @@ def row_combinations(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return total.T
 
 
-def log_mean_exp(log_values, axis=None) -> np.ndarray | float:
-    """Stable ``log(mean(exp(log_values)))``."""
-    arr = np.asarray(log_values, dtype=float)
-    if axis is None:
-        count = arr.size
-    else:
-        count = arr.shape[axis]
-    return logsumexp(arr, axis=axis) - np.log(count)
-
-
 def softmax(scores, axis=None) -> np.ndarray:
     """Stable softmax; rows of ``-inf`` scores receive probability zero."""
     arr = np.asarray(scores, dtype=float)
@@ -178,18 +168,3 @@ def xlogx(values) -> np.ndarray:
     out[mask] = arr[mask] * np.log(arr[mask])
     return out
 
-
-def xlogy(x, y) -> np.ndarray:
-    """Elementwise ``x * log(y)`` with the convention ``0 * log(anything) = 0``.
-
-    When ``x > 0`` and ``y == 0`` the result is ``-inf``, matching the
-    divergence convention that mass on an impossible event costs infinitely.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    x_arr, y_arr = np.broadcast_arrays(x_arr, y_arr)
-    out = np.zeros(x_arr.shape, dtype=float)
-    mask = x_arr != 0
-    with np.errstate(divide="ignore"):
-        out[mask] = x_arr[mask] * np.log(y_arr[mask])
-    return out

@@ -9,36 +9,9 @@ from repro.distributions import sampling
 from repro.distributions import (
     BatchedLangevinSampler,
     MetropolisHastingsSampler,
-    inverse_cdf_sample,
     log_acceptance_ratio,
 )
 from repro.exceptions import ValidationError
-
-
-class TestInverseCdfSample:
-    def test_deterministic_mapping(self):
-        indices = inverse_cdf_sample([0.2, 0.3, 0.5], [0.1, 0.25, 0.95])
-        assert list(indices) == [0, 1, 2]
-
-    def test_boundary_uniform_zero(self):
-        assert inverse_cdf_sample([0.5, 0.5], [0.0])[0] == 0
-
-    def test_boundary_uniform_one(self):
-        assert inverse_cdf_sample([0.5, 0.5], [1.0])[0] == 1
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValidationError):
-            inverse_cdf_sample([0.5, 0.6], [0.5])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            inverse_cdf_sample([-0.1, 1.1], [0.5])
-
-    def test_distribution_matches(self):
-        rng = np.random.default_rng(0)
-        uniforms = rng.uniform(size=100_000)
-        indices = inverse_cdf_sample([0.1, 0.9], uniforms)
-        assert np.mean(indices) == pytest.approx(0.9, abs=0.01)
 
 
 class TestMetropolisHastings:

@@ -2,9 +2,11 @@
 
 README/DESIGN/EXPERIMENTS are deliverables; these tests keep them honest:
 the quickstart snippet must actually run, the experiment tables must
-mention every registered experiment, and the docs must exist.
+mention every registered experiment, every ``repro.…`` path they cite must
+exist, and the docs must exist.
 """
 
+import importlib
 import pathlib
 import re
 
@@ -72,3 +74,44 @@ class TestPaperCheckRecorded:
     def test_design_records_paper_match(self):
         text = read("DESIGN.md")
         assert "Paper-text check" in text
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` imports as a module or is an attribute chain
+    below the longest importable module prefix."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        try:
+            for name in parts[split:]:
+                target = getattr(target, name)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+class TestDottedPathsResolve:
+    def test_every_cited_repro_path_exists(self):
+        """A ``repro.…`` path in a backticked span of README, DESIGN,
+        EXPERIMENTS or docs/ names a module or an attribute that exists, so
+        a deleted or renamed definition cannot stay cited."""
+        names = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + sorted(
+            str(path.relative_to(REPO_ROOT))
+            for path in (REPO_ROOT / "docs").glob("*.md")
+        )
+        cited = {
+            (name, dotted)
+            for name in names
+            for span in re.findall(r"`([^`\n]+)`", read(name))
+            for dotted in re.findall(r"\brepro(?:\.\w+)+", span)
+        }
+        assert len(cited) > 50
+        stale = sorted(
+            f"{name}: {dotted}" for name, dotted in cited
+            if not _resolves(dotted)
+        )
+        assert stale == []

@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from repro.distributions import DiscreteDistribution
 from repro.exceptions import ValidationError
-from repro.information import (
-    binary_entropy,
-    conditional_entropy,
-    cross_entropy,
-    entropy,
-    joint_entropy,
-)
+from repro.information import entropy, joint_entropy
 
 
 def simplex(size: int):
@@ -38,43 +32,6 @@ class TestEntropy:
         assert 0.0 <= entropy(probs) <= np.log(5) + 1e-9
 
 
-class TestBinaryEntropy:
-    def test_symmetric(self):
-        assert binary_entropy(0.3) == pytest.approx(binary_entropy(0.7))
-
-    def test_half_is_log_two(self):
-        assert binary_entropy(0.5) == pytest.approx(np.log(2))
-
-    def test_endpoints_zero(self):
-        assert binary_entropy(0.0) == pytest.approx(0.0)
-        assert binary_entropy(1.0) == pytest.approx(0.0)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValidationError):
-            binary_entropy(1.5)
-
-
-class TestCrossEntropy:
-    def test_self_cross_entropy_is_entropy(self):
-        p = [0.2, 0.8]
-        assert cross_entropy(p, p) == pytest.approx(entropy(p))
-
-    def test_gibbs_inequality(self):
-        p = [0.2, 0.8]
-        q = [0.6, 0.4]
-        assert cross_entropy(p, q) >= entropy(p)
-
-    def test_missing_mass_is_infinite(self):
-        assert cross_entropy([0.5, 0.5], [1.0, 0.0]) == np.inf
-
-    def test_zero_p_mass_ignores_q(self):
-        assert cross_entropy([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            cross_entropy([1.0], [0.5, 0.5])
-
-
 class TestJointEntropy:
     def test_independent_product_adds(self):
         px = np.array([0.3, 0.7])
@@ -89,24 +46,3 @@ class TestJointEntropy:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             joint_entropy([[0.5, 0.5], [0.5, 0.5]])
-
-
-class TestConditionalEntropy:
-    def test_independent_gives_marginal_entropy(self):
-        px = np.array([0.3, 0.7])
-        py = np.array([0.25, 0.75])
-        joint = np.outer(px, py)
-        assert conditional_entropy(joint) == pytest.approx(entropy(py))
-
-    def test_deterministic_channel_gives_zero(self):
-        # Y = X: joint is diagonal.
-        joint = np.diag([0.4, 0.6])
-        assert conditional_entropy(joint) == pytest.approx(0.0)
-
-    def test_chain_rule(self):
-        rng = np.random.default_rng(0)
-        joint = rng.dirichlet(np.ones(6)).reshape(2, 3)
-        h_x = entropy(joint.sum(axis=1))
-        assert conditional_entropy(joint) == pytest.approx(
-            joint_entropy(joint) - h_x
-        )

@@ -14,7 +14,6 @@ from repro.information import (
     mi_bound_group_privacy,
     mi_bound_source_entropy,
     min_entropy_leakage,
-    multiplicative_leakage_capacity,
     posterior_vulnerability,
     vulnerability,
 )
@@ -57,18 +56,6 @@ class TestMinEntropyLeakage:
         channel = DiscreteChannel([0, 1], [0, 1], np.eye(2))
         # Uniform prior: leakage = log(1/0.5) = log 2.
         assert min_entropy_leakage(channel, [0.5, 0.5]) == pytest.approx(np.log(2))
-
-    def test_capacity_is_uniform_prior_leakage(self, bsc):
-        capacity = multiplicative_leakage_capacity(bsc)
-        uniform = min_entropy_leakage(bsc, [0.5, 0.5])
-        assert capacity == pytest.approx(uniform)
-
-    def test_capacity_dominates_other_priors(self, bsc):
-        capacity = multiplicative_leakage_capacity(bsc)
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            prior = rng.dirichlet([1, 1])
-            assert min_entropy_leakage(bsc, prior) <= capacity + 1e-12
 
 
 class TestAlvimBound:

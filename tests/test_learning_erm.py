@@ -11,7 +11,6 @@ from repro.learning import (
     PredictorGrid,
     empirical_risk,
     empirical_risk_matrix,
-    erm_minimizer,
 )
 
 
@@ -33,14 +32,6 @@ class TestEmpiricalRisk:
         )
         assert matrix.shape == (2, 2)
         assert matrix == pytest.approx(np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-    def test_erm_minimizer(self):
-        theta = erm_minimizer(absolute_loss, [0.0, 0.5, 1.0], [1, 1, 1, 0])
-        assert theta == 1.0
-
-    def test_erm_tie_break_first(self):
-        theta = erm_minimizer(absolute_loss, [0.0, 1.0], [0, 1])
-        assert theta == 0.0
 
 
 class TestPredictorGrid:

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.learning import (
-    AbsoluteLoss,
     HingeLoss,
     HuberHingeLoss,
     LogisticLoss,
-    SquaredLoss,
     TruncatedLoss,
     ZeroOneLoss,
 )
@@ -124,16 +122,6 @@ class TestHuberHinge:
             HuberHingeLoss(smoothing=0.0)
 
 
-class TestRegressionLosses:
-    def test_squared(self):
-        assert SquaredLoss().value([3.0]) == pytest.approx([9.0])
-        assert SquaredLoss().derivative([3.0]) == pytest.approx([6.0])
-
-    def test_absolute(self):
-        assert AbsoluteLoss().value([-2.0]) == pytest.approx([2.0])
-        assert AbsoluteLoss().lipschitz_constant == 1.0
-
-
 class TestTruncatedLoss:
     def test_clips_at_ceiling(self):
         loss = TruncatedLoss(HingeLoss(), ceiling=1.0)
@@ -151,7 +139,7 @@ class TestTruncatedLoss:
 
     def test_rejects_non_margin_base(self):
         with pytest.raises(ValidationError):
-            TruncatedLoss(SquaredLoss(), ceiling=1.0)
+            TruncatedLoss(lambda residuals: residuals**2, ceiling=1.0)
 
     @given(margins)
     def test_always_in_bounds(self, u):

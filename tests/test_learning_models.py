@@ -5,7 +5,6 @@ import pytest
 
 from repro.exceptions import NotFittedError, ValidationError
 from repro.learning import (
-    LinearSVM,
     LogisticRegressionModel,
     RidgeRegressionModel,
     TwoGaussiansTask,
@@ -67,25 +66,6 @@ class TestLogisticRegression:
         model = LogisticRegressionModel()
         with pytest.raises(ValidationError):
             model.fit(np.zeros((2, 2)), [0, 1])
-
-
-class TestLinearSVM:
-    def test_fits_separable_data(self, separable_data):
-        x, y = separable_data
-        model = LinearSVM(regularization=0.01).fit(x, y)
-        assert model.accuracy(x, y) > 0.9
-
-    def test_agrees_with_logistic_on_direction(self, separable_data):
-        x, y = separable_data
-        svm = LinearSVM(regularization=0.1).fit(x, y)
-        logistic = LogisticRegressionModel(regularization=0.1).fit(x, y)
-        cos = float(
-            svm.coefficients
-            @ logistic.coefficients
-            / np.linalg.norm(svm.coefficients)
-            / np.linalg.norm(logistic.coefficients)
-        )
-        assert cos > 0.95
 
 
 class TestRidgeRegression:

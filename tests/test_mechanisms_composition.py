@@ -10,10 +10,8 @@ from repro.mechanisms import (
     PrivacyAccountant,
     PrivacySpec,
     advanced_composition,
-    parallel_composition,
     sequential_composition,
 )
-from repro.mechanisms.composition import best_composition
 
 
 class TestSequentialComposition:
@@ -32,12 +30,6 @@ class TestSequentialComposition:
     def test_rejects_non_specs(self):
         with pytest.raises(ValidationError):
             sequential_composition([1.0])
-
-
-class TestParallelComposition:
-    def test_takes_maximum(self):
-        specs = [PrivacySpec(0.5), PrivacySpec(2.0)]
-        assert parallel_composition(specs).epsilon == pytest.approx(2.0)
 
 
 class TestAdvancedComposition:
@@ -61,12 +53,6 @@ class TestAdvancedComposition:
         basic = sequential_composition([PrivacySpec(0.1)] * 2)
         advanced = advanced_composition(0.1, 0.0, 2, 1e-6)
         assert basic.epsilon < advanced.epsilon
-
-    def test_best_composition_picks_smaller(self):
-        few = best_composition(0.1, 0.0, 2, 1e-6)
-        many = best_composition(0.01, 0.0, 10_000, 1e-6)
-        assert few.epsilon == pytest.approx(0.2)
-        assert many.epsilon < 100.0
 
     @pytest.mark.parametrize("delta", [2.0, -0.1, float("nan")])
     def test_rejects_invalid_delta(self, delta):

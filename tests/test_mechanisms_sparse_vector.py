@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import PrivacyBudgetError, ValidationError
-from repro.mechanisms import SparseVector, above_threshold
+from repro.mechanisms import SparseVector
 from repro.mechanisms import sparse_vector as sparse_vector_module
 from repro.observability import tracing
 
@@ -72,23 +72,6 @@ class TestSparseVector:
     def test_rejects_bad_max_positives(self):
         with pytest.raises(ValidationError):
             SparseVector(0.0, 1.0, 1.0, max_positives=0)
-
-
-class TestAboveThreshold:
-    def test_finds_first_above(self):
-        data = [1] * 10
-        queries = [lambda d, k=k: float(sum(d) - 100 + 95 * (k == 3)) for k in range(6)]
-        # Query 3 evaluates to 5, others to -90; with high epsilon it wins.
-        index = above_threshold(data, queries, threshold=0.0, epsilon=50.0,
-                                random_state=0)
-        assert index == 3
-
-    def test_returns_none_when_all_far_below(self):
-        data = [0]
-        queries = [lambda d: -1_000.0 for _ in range(10)]
-        assert above_threshold(
-            data, queries, threshold=0.0, epsilon=10.0, random_state=1
-        ) is None
 
 
 def _five_query_case():

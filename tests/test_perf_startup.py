@@ -205,6 +205,8 @@ NOT_FOR_SERVING = (
     "repro.private_learning",
     "repro.local_privacy",
     "repro.analysis",
+    "repro.experiments",
+    "repro.testing",
 )
 
 _REPRO = "sorted(m for m in sys.modules if m == 'repro' or m.startswith('repro.'))"

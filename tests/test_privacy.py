@@ -13,8 +13,6 @@ from repro.privacy import (
     all_neighbour_pairs,
     is_neighbour,
     measure_rdp,
-    satisfies_approximate_dp,
-    satisfies_pure_dp,
 )
 
 
@@ -49,26 +47,6 @@ class TestNeighbourRelation:
             ExactPrivacyAuditor(
                 lambda d: DiscreteDistribution([0, 1], [0.5, 0.5])
             ).audit([0, 0, 1], 1)
-
-
-class TestDPPredicates:
-    def test_pure_dp_satisfied(self):
-        p = DiscreteDistribution([0, 1], [0.6, 0.4])
-        q = DiscreteDistribution([0, 1], [0.4, 0.6])
-        eps = np.log(1.5)
-        assert satisfies_pure_dp(p, q, eps)
-
-    def test_pure_dp_violated(self):
-        p = DiscreteDistribution([0, 1], [0.9, 0.1])
-        q = DiscreteDistribution([0, 1], [0.1, 0.9])
-        assert not satisfies_pure_dp(p, q, 0.5)
-
-    def test_approx_dp_with_delta_slack(self):
-        p = DiscreteDistribution([0, 1], [0.9, 0.1])
-        q = DiscreteDistribution([0, 1], [0.1, 0.9])
-        # Fails pure DP at eps=0.5 but passes with a large enough delta.
-        assert satisfies_approximate_dp(p, q, 0.5, delta=0.8)
-        assert not satisfies_approximate_dp(p, q, 0.5, delta=0.01)
 
 
 class TestExactAuditor:

@@ -7,11 +7,8 @@ from repro.exceptions import ValidationError
 from repro.learning import BernoulliTask, PredictorGrid
 from repro.privacy import (
     RenyiSpec,
-    compose_rdp,
     measure_rdp,
     optimal_rdp_to_dp,
-    rdp_of_gaussian,
-    rdp_of_laplace,
     rdp_of_pure_dp,
 )
 
@@ -74,31 +71,8 @@ class TestClosedForms:
             measured = measure_rdp(gibbs.posterior, [0, 1], 2, alpha)
             assert measured <= rdp_of_pure_dp(eps, alpha).rho + 1e-9
 
-    def test_gaussian_rdp_linear_in_alpha(self):
-        a = rdp_of_gaussian(1.0, sigma=2.0, alpha=2.0)
-        b = rdp_of_gaussian(1.0, sigma=2.0, alpha=4.0)
-        assert b.rho == pytest.approx(2 * a.rho)
-
-    def test_laplace_rdp_below_pure_epsilon(self):
-        # Laplace is ε-DP with ε = Δ/b; its RDP at finite α is < ε.
-        spec = rdp_of_laplace(sensitivity=1.0, scale=1.0, alpha=2.0)
-        assert 0 < spec.rho < 1.0
-
-    def test_laplace_rdp_approaches_epsilon_at_large_alpha(self):
-        eps = 1.0
-        spec = rdp_of_laplace(1.0, 1.0, alpha=500.0)
-        assert spec.rho == pytest.approx(eps, abs=0.02)
-
-    def test_laplace_rdp_increasing_in_alpha(self):
-        rhos = [rdp_of_laplace(1.0, 1.0, a).rho for a in [1.5, 3.0, 10.0, 100.0]]
-        assert all(x <= y + 1e-12 for x, y in zip(rhos, rhos[1:]))
-
 
 class TestComposition:
-    def test_compose_many(self):
-        specs = [RenyiSpec(2.0, 0.1)] * 5
-        assert compose_rdp(specs).rho == pytest.approx(0.5)
-
     def test_rdp_beats_basic_composition_for_many_small_queries(self):
         """The reason RDP exists: k small-ε queries convert to a much
         smaller total ε than basic composition's k·ε."""
@@ -106,14 +80,14 @@ class TestComposition:
         basic_epsilon = k * eps
 
         def curve(alpha):
-            return compose_rdp([rdp_of_pure_dp(eps, alpha)] * k)
+            return RenyiSpec(alpha, k * rdp_of_pure_dp(eps, alpha).rho)
 
         converted = optimal_rdp_to_dp(curve, delta)
         assert converted.epsilon < basic_epsilon
 
     def test_optimal_conversion_no_worse_than_any_alpha(self):
         def curve(alpha):
-            return compose_rdp([rdp_of_gaussian(1.0, 1.0, alpha)] * 10)
+            return RenyiSpec(alpha, 10 * rdp_of_pure_dp(1.0, alpha).rho)
 
         best = optimal_rdp_to_dp(curve, 1e-5)
         for alpha in [1.5, 2.0, 8.0, 32.0]:

@@ -29,7 +29,6 @@ from repro.testing import (
     extreme_record_pair,
     run_audit,
     score_gap_pair,
-    substitution_pairs,
 )
 from repro.privacy import is_neighbour
 
@@ -149,12 +148,6 @@ class TestNeighborGenerators:
             bit_flip_pair(0)
         with pytest.raises(ValidationError):
             extreme_record_pair(3, low=1.0, high=1.0)
-
-    def test_substitution_pairs_exhaustive(self):
-        pairs = list(substitution_pairs([0, 1], 2))
-        # 4 datasets × 2 positions × 1 replacement each = 8 ordered pairs.
-        assert len(pairs) == 8
-        assert all(is_neighbour(p.a, p.b) for p in pairs)
 
 
 class TestEpsilonEstimator:

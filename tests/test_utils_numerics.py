@@ -8,13 +8,11 @@ from hypothesis.extra import numpy as hnp
 
 from repro.exceptions import ValidationError
 from repro.utils.numerics import (
-    log_mean_exp,
     logsumexp,
     normalize_log_weights,
     softmax,
     stable_log,
     xlogx,
-    xlogy,
 )
 
 
@@ -47,17 +45,6 @@ class TestLogsumexp:
     )
     def test_always_at_least_max(self, arr):
         assert logsumexp(arr) >= arr.max() - 1e-12
-
-
-class TestLogMeanExp:
-    def test_mean_of_equal_values(self):
-        assert log_mean_exp([3.0, 3.0, 3.0]) == pytest.approx(3.0)
-
-    def test_matches_direct(self):
-        values = np.array([0.0, 1.0])
-        assert log_mean_exp(values) == pytest.approx(
-            np.log(np.exp(values).mean())
-        )
 
 
 class TestSoftmax:
@@ -99,17 +86,6 @@ class TestXlog:
 
     def test_xlogx_value(self):
         assert xlogx([np.e]) == pytest.approx([np.e])
-
-    def test_xlogy_zero_times_anything(self):
-        assert xlogy([0.0], [0.0]) == pytest.approx([0.0])
-
-    def test_xlogy_positive_mass_on_zero_is_minus_inf(self):
-        assert xlogy([0.5], [0.0])[0] == -np.inf
-
-    def test_xlogy_broadcasts(self):
-        out = xlogy([[1.0], [2.0]], [np.e])
-        assert out.shape == (2, 1)
-        assert out.ravel() == pytest.approx([1.0, 2.0])
 
     def test_stable_log_of_zero(self):
         assert stable_log([0.0])[0] == -np.inf

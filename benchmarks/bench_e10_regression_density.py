@@ -21,7 +21,6 @@ histogram's sampling-noise floor.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import print_header
 from repro.experiments import ResultTable

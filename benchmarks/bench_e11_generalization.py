@@ -14,7 +14,6 @@ regularizer.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import print_header
 from repro.core import GibbsEstimator, LearningChannel, generalization_report

@@ -14,7 +14,6 @@ its guarantee, matching E4's measured/claimed ratio); randomized response
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import print_header
 from repro.core import GibbsEstimator
@@ -74,6 +73,8 @@ BENCH_SPEC = {
 
 
 def test_e12_attack_advantage_vs_epsilon(benchmark):
+    import pytest
+
     rows = benchmark.pedantic(
         lambda: [(eps, worst_pair_laws(eps)) for eps in EPSILONS],
         rounds=1,

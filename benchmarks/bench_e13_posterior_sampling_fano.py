@@ -22,7 +22,6 @@ the floors bind (are > 0) at small ε.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import print_header
 from repro.core import GibbsEstimator, LearningChannel, TruncatedBetaBernoulliPosterior

@@ -15,7 +15,6 @@ concentrated data.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import print_header
 from repro.experiments import ResultTable

@@ -16,7 +16,6 @@ linearly in T, with the gap widening monotonically.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import print_header
 from repro.experiments import ResultTable

@@ -18,7 +18,6 @@ those are indeed the loose ones.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import print_header
 from repro.core.uniform_bounds import compare_uniform_vs_pac_bayes

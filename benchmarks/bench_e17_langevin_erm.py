@@ -16,7 +16,6 @@ by the ≥5× acceptance bar of ISSUE 8.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import print_header
 from repro.experiments import ResultTable

@@ -9,8 +9,6 @@ Expected shape (asserted): I(Ẑ;θ) grows monotonically with ε and stays
 below H(Ẑ); the exact privacy loss stays below the Theorem 4.1 guarantee.
 """
 
-import pytest
-
 from benchmarks.common import bernoulli_instance, print_header
 from repro.core import GibbsEstimator, LearningChannel
 from repro.experiments import ResultTable, ascii_curve

@@ -11,7 +11,6 @@ tightest on average; gaps shrink as n grows.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import print_header
 from repro.core.pac_bayes import (

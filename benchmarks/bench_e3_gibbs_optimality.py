@@ -11,7 +11,6 @@ machine precision.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import print_header
 from repro.core.pac_bayes import (
@@ -74,6 +73,8 @@ BENCH_SPEC = {
 
 
 def test_e3_gibbs_vs_competitors(benchmark):
+    import pytest
+
     prior, risks = build_instance()
     rng = np.random.default_rng(1)
 

@@ -11,7 +11,6 @@ grows with claimed, and the bound is conservative but not wildly loose
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import print_header
 from repro.core import GibbsEstimator
@@ -97,6 +96,8 @@ def test_e4_exact_audit_sweep(benchmark):
 
 def test_e4_sampled_audit_cross_check(benchmark):
     """Black-box sampled audit on the worst pair must agree with exact."""
+    import pytest
+
     task = BernoulliTask(p=0.7)
     grid = PredictorGrid.linspace(task.loss, 0.0, 1.0, 5)
     n, epsilon = 2, 2.0

@@ -15,7 +15,6 @@ term zero only at the bound-optimal prior.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import bernoulli_instance, print_header
 from repro.core import minimize_tradeoff
@@ -53,6 +52,8 @@ BENCH_SPEC = {
 
 
 def test_e5_fixed_point_sweep(benchmark):
+    import pytest
+
     instance = bernoulli_instance(p=0.7, grid_size=5, n=2)
     source, risks = instance["source"], instance["risk_matrix"]
 
@@ -106,6 +107,8 @@ def test_e5_prior_ablation(benchmark):
     vanishes at the bound-optimal prior ``π = E_Z π̂``, where the Gibbs
     channel reproduces its own prior as its marginal (Theorem 4.2).
     """
+    import pytest
+
     instance = bernoulli_instance(p=0.7, grid_size=5, n=2)
     source, risks = instance["source"], instance["risk_matrix"]
     epsilon = 1.0

@@ -13,7 +13,6 @@ channel samples) agree.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import bernoulli_instance, print_header
 from repro.core import GibbsEstimator, LearningChannel, tradeoff_curve
@@ -118,6 +117,8 @@ def test_e6_frontier(benchmark):
 def test_e6_estimator_cross_validation(benchmark):
     """MI of the actual Gibbs channel: exact enumeration vs plug-in MI
     estimated from channel samples — DESIGN.md ablation #4."""
+    import pytest
+
     instance = bernoulli_instance(p=0.75, grid_size=5, n=2)
     estimator = GibbsEstimator.from_privacy(
         instance["grid"], 2.0, expected_sample_size=2

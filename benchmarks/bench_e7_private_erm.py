@@ -13,7 +13,6 @@ finer grids lift.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import print_header
 from repro.experiments import ResultTable

@@ -11,7 +11,6 @@ absolute error of additive mechanisms scales as Δf/ε.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import print_header
 from repro.distributions import DiscreteDistribution
@@ -92,6 +91,8 @@ BENCH_SPEC = {
 
 
 def test_e8_privacy_audit_table(benchmark):
+    import pytest
+
     def run():
         rows = []
         for eps in EPSILONS:
@@ -170,6 +171,7 @@ def test_e8_privacy_audit_table(benchmark):
 
 def test_e8_utility_curves(benchmark):
     """Mean absolute error vs ε for the additive-noise mechanisms."""
+    import pytest
 
     def run():
         rows = []

@@ -17,7 +17,6 @@ asserted.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.common import bernoulli_instance, print_header
 from repro.core import GibbsEstimator, LearningChannel

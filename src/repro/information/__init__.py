@@ -15,7 +15,6 @@ from repro.information.entropy import entropy
 from repro._lazy import attach as _attach
 
 _EXPORTS = {
-    "joint_entropy": "repro.information.entropy",
     "binary_kl_inverse": "repro.information.divergences",
     "hockey_stick_divergence": "repro.information.divergences",
     "kl_divergence": "repro.information.divergences",
@@ -62,7 +61,6 @@ __all__ = [
     "channel_capacity",
     "entropy",
     "hockey_stick_divergence",
-    "joint_entropy",
     "kl_divergence",
     "max_divergence",
     "mutual_information_from_joint",

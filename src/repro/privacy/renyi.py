@@ -11,7 +11,8 @@ pairs. Facts implemented:
 
 * pure ε-DP ⇒ (α, min(ε, 2αε²... )) — we use the simple ``(α, ε)`` and the
   tighter small-ε bound;
-* RDP composes additively in ρ at fixed α;
+* RDP composes additively in ρ at fixed α (E14 composes k identical
+  releases as ``(α, k·ρ)``);
 * (α, ρ)-RDP ⇒ (ρ + log(1/δ)/(α-1), δ)-DP for any δ.
 """
 
@@ -47,14 +48,6 @@ class RenyiSpec:
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
         check_positive(self.rho, name="rho", strict=False)
-
-    def compose(self, other: "RenyiSpec") -> "RenyiSpec":
-        """Adaptive composition at a shared order: ρ values add."""
-        if not np.isclose(self.alpha, other.alpha):
-            raise ValidationError(
-                "RDP composition requires a common order alpha"
-            )
-        return RenyiSpec(self.alpha, self.rho + other.rho)
 
     def to_approximate_dp(self, delta: float) -> PrivacySpec:
         """Convert to (ε, δ)-DP: ``ε = ρ + log(1/δ)/(α-1)``."""

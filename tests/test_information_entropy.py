@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.distributions import DiscreteDistribution
-from repro.exceptions import ValidationError
-from repro.information import entropy, joint_entropy
+from repro.information import entropy
 
 
 def simplex(size: int):
@@ -30,19 +29,3 @@ class TestEntropy:
     @given(simplex(5))
     def test_bounded_by_log_support(self, probs):
         assert 0.0 <= entropy(probs) <= np.log(5) + 1e-9
-
-
-class TestJointEntropy:
-    def test_independent_product_adds(self):
-        px = np.array([0.3, 0.7])
-        py = np.array([0.5, 0.5])
-        joint = np.outer(px, py)
-        assert joint_entropy(joint) == pytest.approx(entropy(px) + entropy(py))
-
-    def test_rejects_non_matrix(self):
-        with pytest.raises(ValidationError):
-            joint_entropy([0.5, 0.5])
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValidationError):
-            joint_entropy([[0.5, 0.5], [0.5, 0.5]])

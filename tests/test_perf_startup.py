@@ -17,10 +17,16 @@ interpreter, because this test process has long since loaded SciPy:
   loads: E3's numerical Catoni minimizer runs an in-repo Nelder–Mead
   instead of ``scipy.optimize``, E13's truncated Beta posterior reads
   ``scipy.special.betainc`` and ``betaincinv``, and E16's Gaussian risks
-  read ``scipy.special.ndtr``.
+  read ``scipy.special.ndtr``;
+* that same sweep loads no test framework (no ``pytest``, ``_pytest.*``
+  or ``pluggy.*`` module): ``repro bench``, the ``paper_sweep`` workload
+  and every ``--workers`` pool process import the ``benchmarks/bench_e*``
+  modules, so each of those modules imports pytest only inside the claim
+  tests that call ``pytest.approx``.
 
 A module-level ``import scipy.stats`` added to any ``repro`` module fails
-the first check.
+the first check, and a module-level ``import pytest`` added to any bench
+module fails the last.
 
 The package namespaces are lazy (:mod:`repro._lazy`): a package's exports
 load on first access. Two more fresh-interpreter checks hold that in place:
@@ -123,6 +129,12 @@ print(json.dumps({{
 """
 
 
+_TEST_FRAMEWORK = (
+    "sorted(name for name in sys.modules "
+    "if name in ('pytest', '_pytest', 'pluggy') "
+    "or name.startswith(('_pytest.', 'pluggy.')))"
+)
+
 _SWEEP_PROBE = f"""
 import json, sys
 
@@ -130,7 +142,11 @@ from repro.experiments import EXPERIMENTS, BenchmarkEngine
 
 engine = BenchmarkEngine(workers=1, cache=None, output_dir=None)
 failures = [engine.run_experiment(experiment).failures for experiment in EXPERIMENTS]
-print(json.dumps({{"loaded": {_LOADED}, "failures": failures}}))
+print(json.dumps({{
+    "loaded": {_LOADED},
+    "test_framework": {_TEST_FRAMEWORK},
+    "failures": failures,
+}}))
 """
 
 
@@ -186,12 +202,21 @@ def test_audit_loads_only_scipy_special(probe, special):
     assert loaded <= special, sorted(loaded - special)
 
 
-def test_paper_sweep_loads_only_scipy_special(special):
-    sweep = json.loads(_python(_SWEEP_PROBE))
+@pytest.fixture(scope="module")
+def sweep() -> dict:
+    return json.loads(_python(_SWEEP_PROBE))
+
+
+def test_paper_sweep_loads_only_scipy_special(sweep, special):
     loaded = set(sweep["loaded"])
     assert len(sweep["failures"]) == 19 and not any(sweep["failures"])
     assert "scipy.special" in loaded
     assert loaded <= special, sorted(loaded - special)
+
+
+def test_paper_sweep_loads_no_test_framework(sweep):
+    assert len(sweep["failures"]) == 19 and not any(sweep["failures"])
+    assert sweep["test_framework"] == []
 
 
 #: ``import repro`` loads the package namespace and its lazy-export helper.

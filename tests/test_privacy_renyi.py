@@ -18,15 +18,6 @@ class TestRenyiSpec:
         with pytest.raises(ValidationError):
             RenyiSpec(alpha=1.0, rho=0.1)
 
-    def test_compose_adds_rho(self):
-        a = RenyiSpec(2.0, 0.3)
-        b = RenyiSpec(2.0, 0.5)
-        assert a.compose(b).rho == pytest.approx(0.8)
-
-    def test_compose_requires_common_alpha(self):
-        with pytest.raises(ValidationError):
-            RenyiSpec(2.0, 0.3).compose(RenyiSpec(3.0, 0.3))
-
     def test_conversion_formula(self):
         spec = RenyiSpec(alpha=10.0, rho=0.5)
         out = spec.to_approximate_dp(delta=1e-5)
